@@ -1,6 +1,6 @@
 """Benchmark: engine micro-benchmarks (tokenizer memo, the batched grad-mode
 tokenizer pass, a stage-1 training step, inference off the autograd tape, fused kernels, KV-cached
-decode, float32 compute policy, batched rollout, batched single-pass
+decode, batched rollout, batched single-pass
 evaluation, sharded evaluation, continuous-batching serving, the
 synthetic-city build).
 
@@ -55,8 +55,6 @@ BACKBONE_PLAN_TARGET = 1.2
 LORA_MERGE_MAX_ABS_DIFF = 1e-12
 FORWARD_BACKWARD_TARGET = 3.0
 DECODE_TARGET = 5.0
-#: float32 step time must be <= 0.8x the float64 step time.
-DTYPE_TARGET = 1.25
 BATCHED_ROLLOUT_TARGET = 2.0
 #: The batched single-pass evaluation paths (recovery, traffic
 #: prediction/imputation) must not be slower than the per-case loops they
@@ -84,7 +82,6 @@ EXPECTED_SECTIONS = {
     "inference",
     "forward_backward",
     "decode",
-    "dtype_policy",
     "batched_rollout",
     "batched_recovery",
     "batched_traffic",
@@ -105,7 +102,6 @@ def _gated_speedups(report) -> dict:
         ("inference", "backbone_speedup"): BACKBONE_PLAN_TARGET,
         ("forward_backward", "speedup"): FORWARD_BACKWARD_TARGET,
         ("decode", "speedup"): DECODE_TARGET,
-        ("dtype_policy", "speedup"): DTYPE_TARGET,
         ("batched_rollout", "speedup"): BATCHED_ROLLOUT_TARGET,
         ("batched_recovery", "speedup"): BATCHED_RECOVERY_TARGET,
         ("batched_traffic", "speedup"): BATCHED_TRAFFIC_TARGET,

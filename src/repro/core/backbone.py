@@ -40,7 +40,6 @@ class BIGCityBackbone(Module):
             num_layers=self.config.num_layers,
             num_heads=self.config.num_heads,
             max_position=self.config.max_position,
-            dropout=self.config.dropout,
             vocab_size=text_vocab_size,
             causal=True,
             seed=self.config.seed,
@@ -54,8 +53,7 @@ class BIGCityBackbone(Module):
             coverage=self.config.lora_coverage,
             rng=rng,
         )
-        if self.config.lora_only:
-            self.freeze_base()
+        self.freeze_base()
 
     # ------------------------------------------------------------------
     @property

@@ -125,8 +125,24 @@ def load_bigcity(
             f"checkpoint was trained on dataset {recorded_dataset!r} but {dataset.name!r} was provided; "
             "pass strict_dataset=False to load across cities"
         )
-    config = BIGCityConfig(**json.loads(metadata[_CONFIG_KEY]))
+    config = _recorded_config(path, metadata[_CONFIG_KEY])
     model = BIGCity.from_dataset(dataset, config=config)
     load_state_dict(model, path, strict=strict_dataset)
     model.eval()
     return model, metadata
+
+
+def _recorded_config(path: PathLike, text: str) -> BIGCityConfig:
+    """The :class:`BIGCityConfig` a checkpoint records.
+
+    Raises ``ValueError`` naming the checkpoint when the record is not a JSON
+    object or holds fields the configuration no longer defines (a checkpoint
+    written by a version that still had them).
+    """
+    fields = json.loads(text)
+    if not isinstance(fields, dict):
+        raise ValueError(f"{path}: {_CONFIG_KEY!r} must be a JSON object, got {type(fields).__name__}")
+    unknown = sorted(set(fields) - {field.name for field in dataclasses.fields(BIGCityConfig)})
+    if unknown:
+        raise ValueError(f"{path}: {_CONFIG_KEY!r} has fields BIGCityConfig does not define: {unknown}")
+    return BIGCityConfig(**fields)

@@ -35,7 +35,6 @@ class BIGCityConfig:
     d_model: int = 64
     num_layers: int = 3
     num_heads: int = 4
-    dropout: float = 0.0
     max_position: int = 256
 
     # --- LoRA ----------------------------------------------------------
@@ -43,14 +42,6 @@ class BIGCityConfig:
     lora_alpha: float = 16.0
     #: Fraction ``n`` of transformer blocks that receive LoRA adapters.
     lora_coverage: float = 1.0
-    #: Freeze the backbone and train only LoRA adapters (paper default).
-    lora_only: bool = True
-    #: Train the full backbone during stage-1 masked reconstruction.  The
-    #: paper starts from a pretrained GPT-2 and never updates its base
-    #: weights; no pretrained checkpoint is available offline, so stage 1
-    #: doubles as that pre-training.  Stage-2 prompt tuning still freezes the
-    #: base and updates only LoRA (plus heads), as in the paper.
-    pretrain_full_backbone: bool = True
 
     # --- prompts ---------------------------------------------------------
     #: Use task-oriented prompts; ``False`` reproduces the ``w/o-Pro``
@@ -60,7 +51,6 @@ class BIGCityConfig:
     # --- loss weights (Eq. 16 / Eq. 17) ----------------------------------
     lambda_reg: float = 1.0
     lambda_tim: float = 1.0
-    lambda_gen: float = 1.0
 
     #: Random seed controlling every parameter initialisation.
     seed: int = 0

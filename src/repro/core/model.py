@@ -259,14 +259,7 @@ class BIGCity(Module):
 
         max_length = max(lengths)
         self._check_max_position(max_length)
-        # Padding rows hold policy-dtype zeros; the buffer takes the dtype
-        # the sources promote to, and the result follows the compute policy.
-        dtype = np.result_type(
-            Tensor.zeros(0).dtype,
-            self.clas_token.data.dtype,
-            *[st_tokens.data.dtype for st_tokens in st_token_list],
-        )
-        buffer = np.zeros((len(prompts), max_length, self.config.d_model), dtype=dtype)
+        buffer = np.zeros((len(prompts), max_length, self.config.d_model))
         padding_mask = np.arange(max_length)[None, :] >= np.asarray(lengths)[:, None]
         return F.scatter_rows(buffer, pieces), padding_mask, layouts
 

@@ -256,20 +256,17 @@ class MaskedReconstructionTrainer(_TrainerBase):
     def train(self, epochs: Optional[int] = None) -> List[EpochLog]:
         epochs = epochs if epochs is not None else self.config.stage1_epochs
         self.model.train()
-        # Without a pretrained GPT-2 checkpoint, masked reconstruction doubles
-        # as the backbone's pre-training: the base transformer weights are
-        # updated here and frozen again before task-oriented prompt tuning.
-        unfroze_backbone = False
-        if getattr(self.model.config, "pretrain_full_backbone", False):
-            self.model.backbone.llm.unfreeze()
-            unfroze_backbone = True
+        # The paper starts from a pretrained GPT-2 and never updates its base
+        # weights.  No pretrained checkpoint is available offline, so masked
+        # reconstruction doubles as the backbone's pre-training: the base
+        # transformer weights are updated here and frozen again, leaving only
+        # LoRA trainable for task-oriented prompt tuning as in the paper.
+        self.model.backbone.llm.unfreeze()
         optimizer = Adam(self.model.trainable_parameters(), lr=self.config.learning_rate)
         logs = []
         for epoch in range(epochs):
             logs.append(self._run_epoch(self.build_prompts(), optimizer, epoch))
-        if unfroze_backbone and self.model.config.lora_only:
-            # Restore the paper's setting: frozen base, trainable LoRA only.
-            self.model.backbone.freeze_base()
+        self.model.backbone.freeze_base()
         return logs
 
 

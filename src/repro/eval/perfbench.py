@@ -3,8 +3,7 @@
 The tokenizer's representation memo, its batched grad-mode pass, inference
 off the autograd tape (no-grad ops and merged LoRA weights), the
 fused-kernel fast path (:mod:`repro.nn.functional`), the KV-cached decoding
-path (:class:`repro.nn.attention.KVCache`), the float32 compute policy
-(:func:`repro.nn.tensor.compute_dtype`), the batched rollout
+path (:class:`repro.nn.attention.KVCache`), the batched rollout
 (``BIGCity.rollout_next_hops_batch``), the batched single-pass evaluation
 paths (``recover_trajectories_batch`` / ``predict_traffic_states_batch`` /
 ``impute_traffic_states_batch``), the sharded evaluation runner
@@ -15,7 +14,7 @@ module measures them.  Each benchmark times the optimised path against the
 formulation it replaced — warm vs cold tokenizer encodes, one batched pass
 over a batch's time slices vs the per-slice loop, wrapped vs re-validated
 op outputs, merged vs unmerged LoRA layers, fused vs composed tape nodes,
-cached vs full re-encode, float32 vs float64 step, one padded batch vs
+cached vs full re-encode, one padded batch vs
 per-trajectory rollouts, ``N`` worker processes vs an inline loop, a
 continuously-batched request trace vs serial per-request execution, a city
 built on the shared road graph vs one built with a graph copy per route —
@@ -51,7 +50,7 @@ from repro.nn import functional as F
 from repro.nn import losses
 from repro.nn import tensor as tensor_module
 from repro.nn.lora import LoRALinear, attach_lora
-from repro.nn.tensor import Tensor, compute_dtype, fused_kernels, no_grad
+from repro.nn.tensor import Tensor, fused_kernels, no_grad
 from repro.nn.transformer import GPT2Config, GPT2Model
 
 __all__ = [
@@ -106,12 +105,6 @@ class PerfBenchConfig:
     inference_calls: int = 32
     inference_ops: int = 2000
     lora_rank: int = 4
-    # float32 vs float64 compute policy (paper-default backbone width: wide
-    # enough that the step is memory/BLAS-bound rather than tape-overhead-bound)
-    dtype_d_model: int = 64
-    dtype_num_heads: int = 4
-    dtype_seq_len: int = 256
-    dtype_batch_size: int = 4
     # batched autoregressive rollout (one padded batch vs per-trajectory)
     rollout_batch: int = 8
     rollout_steps: int = 4
@@ -204,7 +197,6 @@ def _build_model(d_model: int, num_layers: int, num_heads: int, max_position: in
             num_layers=num_layers,
             num_heads=num_heads,
             max_position=max_position,
-            dropout=0.0,
             seed=seed,
         )
     )
@@ -653,48 +645,6 @@ def bench_decode(config: PerfBenchConfig) -> Dict[str, float]:
         "uncached_s": uncached_s,
         "speedup": uncached_s / cached_s if cached_s > 0 else float("inf"),
         "steps": float(config.decode_steps),
-    }
-
-
-def bench_dtype_policy(config: PerfBenchConfig) -> Dict[str, float]:
-    """Float32 vs float64 compute policy on a transformer forward+backward.
-
-    The two variants run the identical fused-engine GPT-2 stack and loss; the
-    only difference is the compute dtype the whole run (parameters,
-    activations, gradients) lives in.  The ratio is the bandwidth win of
-    halving every array — the engine is memory-bound at these sizes, so it
-    should be well above 1.
-    """
-    rng = np.random.default_rng(config.seed)
-    d_model, seq_len = config.dtype_d_model, config.dtype_seq_len
-    embeddings = rng.standard_normal((config.dtype_batch_size, seq_len, d_model))
-    targets = rng.integers(0, d_model, size=config.dtype_batch_size * seq_len)
-
-    def make_runner(dtype: str) -> Callable[[], None]:
-        with compute_dtype(dtype):
-            model = _build_model(
-                d_model, config.num_layers, config.dtype_num_heads, max(512, seq_len + 8), config.seed
-            )
-        model.train()
-        parameters = list(model.parameters())
-
-        def run() -> None:
-            with compute_dtype(dtype):
-                for parameter in parameters:
-                    parameter.zero_grad()
-                x = Tensor(embeddings, requires_grad=True)
-                hidden = model(x)
-                loss = losses.cross_entropy(hidden.reshape(-1, d_model), targets)
-                loss.backward()
-
-        return run
-
-    timing = _paired_best(make_runner("float64"), make_runner("float32"), config.samples)
-    float64_s, float32_s = timing["baseline_s"], timing["optimised_s"]
-    return {
-        "float32_s": float32_s,
-        "float64_s": float64_s,
-        "speedup": float64_s / float32_s if float32_s > 0 else float("inf"),
     }
 
 
@@ -1271,7 +1221,7 @@ def run_perfbench(
     """Run the engine micro-benchmarks and return the report.
 
     ``include`` selects a subset of ``{"tokenizer", "tokenizer_grad", "train_step", "inference",
-    "forward_backward", "decode", "dtype_policy", "batched_rollout",
+    "forward_backward", "decode", "batched_rollout",
     "batched_recovery", "batched_traffic", "sharded_eval", "serving",
     "dataset"}``; the default runs all of them.
     """
@@ -1283,7 +1233,6 @@ def run_perfbench(
         "inference": bench_inference,
         "forward_backward": bench_forward_backward,
         "decode": bench_decode,
-        "dtype_policy": bench_dtype_policy,
         "batched_rollout": bench_batched_rollout,
         "batched_recovery": bench_batched_recovery,
         "batched_traffic": bench_batched_traffic,

@@ -8,17 +8,10 @@ graph attention networks (:mod:`repro.nn.gat`), LoRA adapters
 (:mod:`repro.nn.lora`), the Adam optimiser (:mod:`repro.nn.optim`) and losses
 (:mod:`repro.nn.losses`).
 
-Everything runs on CPU with float64/float32 NumPy arrays and is sized for
+Everything runs on CPU with float64 NumPy arrays and is sized for
 laptop-scale experiments; the APIs intentionally mirror the PyTorch
 equivalents so that the BIGCity model code in :mod:`repro.core` reads like
 the architecture described in the paper.
-
-**Compute dtype.**  The engine defaults to float64; wrap model construction
-*and* the training/inference calls in ``compute_dtype("float32")`` to run the
-whole stack — parameters, activations, gradients — in float32, which roughly
-halves memory traffic on the memory-bound kernels (measured in the
-``dtype_policy`` section of ``BENCH_engine.json``).  Numerically delicate
-accumulations (loss reductions, Adam moments) stay in float64 internally.
 """
 
 from repro.nn.tensor import (
@@ -27,9 +20,6 @@ from repro.nn.tensor import (
     is_grad_enabled,
     fused_kernels,
     fused_enabled,
-    compute_dtype,
-    get_compute_dtype,
-    set_compute_dtype,
 )
 from repro.nn import functional
 from repro.nn.attention import KVCache
@@ -39,7 +29,6 @@ from repro.nn.layers import (
     MLP,
     Embedding,
     LayerNorm,
-    Dropout,
     GELU,
 )
 from repro.nn.attention import MultiHeadAttention, CrossAttentionPool
@@ -67,9 +56,6 @@ __all__ = [
     "is_grad_enabled",
     "fused_kernels",
     "fused_enabled",
-    "compute_dtype",
-    "get_compute_dtype",
-    "set_compute_dtype",
     "KVCache",
     "functional",
     "Module",
@@ -80,7 +66,6 @@ __all__ = [
     "MLP",
     "Embedding",
     "LayerNorm",
-    "Dropout",
     "GELU",
     "MultiHeadAttention",
     "CrossAttentionPool",

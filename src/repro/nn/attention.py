@@ -7,7 +7,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.nn import functional as F
-from repro.nn.layers import Dropout, Linear
+from repro.nn.layers import Linear
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor, fused_enabled, is_grad_enabled
 
@@ -114,9 +114,7 @@ class MultiHeadAttention(Module):
         self,
         d_model: int,
         num_heads: int,
-        dropout: float = 0.0,
         causal: bool = False,
-        record_attention: bool = False,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
@@ -126,18 +124,10 @@ class MultiHeadAttention(Module):
         self.num_heads = num_heads
         self.head_dim = d_model // num_heads
         self.causal = causal
-        #: Retain the ``(batch, heads, q_len, kv_len)`` attention weights of
-        #: every forward pass on ``last_attention``.  Off by default: keeping
-        #: one such array alive per layer per step is pure overhead unless an
-        #: inspection/visualisation path explicitly asks for it.
-        self.record_attention = record_attention
         self.q_proj = Linear(d_model, d_model, rng=rng)
         self.k_proj = Linear(d_model, d_model, rng=rng)
         self.v_proj = Linear(d_model, d_model, rng=rng)
         self.out_proj = Linear(d_model, d_model, rng=rng)
-        self.attn_dropout = Dropout(dropout)
-        self.resid_dropout = Dropout(dropout)
-        self._last_attention: Optional[np.ndarray] = None
 
     def _split_heads(self, x: Tensor) -> Tensor:
         batch, length, _ = x.shape
@@ -210,43 +200,13 @@ class MultiHeadAttention(Module):
 
         scale = 1.0 / np.sqrt(self.head_dim)
         if use_fused:
-            dropout_p = self.attn_dropout.p if self.training else 0.0
-            fused = F.scaled_dot_product_attention(
-                q,
-                k,
-                v,
-                mask=mask,
-                dropout_p=dropout_p,
-                training=self.training,
-                scale=scale,
-                return_weights=self.record_attention,
-                is_causal=is_causal,
-            )
-            if self.record_attention:
-                context, weights = fused
-                self._last_attention = weights
-            else:
-                context = fused
+            context = F.scaled_dot_product_attention(q, k, v, mask=mask, scale=scale, is_causal=is_causal)
         else:
             scores = q.matmul(k.transpose(0, 1, 3, 2)) * scale
             if mask is not None:
                 scores = scores.masked_fill(mask, -1e9)
-            attention = scores.softmax(axis=-1)
-            if self.record_attention:
-                self._last_attention = attention.data
-            attention = self.attn_dropout(attention)
-            context = attention.matmul(v)
-        out = self.out_proj(self._merge_heads(context))
-        return self.resid_dropout(out)
-
-    @property
-    def last_attention(self) -> Optional[np.ndarray]:
-        """Attention weights from the latest forward pass.
-
-        Populated only when ``record_attention`` is enabled; retaining the
-        weights for every call is gated off by default.
-        """
-        return self._last_attention
+            context = scores.softmax(axis=-1).matmul(v)
+        return self.out_proj(self._merge_heads(context))
 
 
 class CrossAttentionPool(Module):

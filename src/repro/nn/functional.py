@@ -24,7 +24,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.tensor import Tensor, apply_op, fused_enabled, get_compute_dtype
+from repro.nn.tensor import Tensor, apply_op, fused_enabled
 
 
 def relu(x: Tensor) -> Tensor:
@@ -52,10 +52,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return x.log_softmax(axis=axis)
-
-
-def dropout(x: Tensor, p: float, training: bool = True) -> Tensor:
-    return x.dropout(p, training=training)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
@@ -256,9 +252,9 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:
-    """Return a dense one-hot encoding of ``indices`` (compute-policy dtype)."""
+    """Return a dense float64 one-hot encoding of ``indices``."""
     indices = np.asarray(indices, dtype=np.int64)
-    out = np.zeros(indices.shape + (num_classes,), dtype=get_compute_dtype())
+    out = np.zeros(indices.shape + (num_classes,), dtype=np.float64)
     np.put_along_axis(out, indices[..., None], 1.0, axis=-1)
     return out
 
@@ -428,8 +424,7 @@ def fused_cross_entropy(logits: Tensor, targets, reduction: str = "mean") -> Ten
     log_probs = shifted - logsumexp
     rows = np.arange(num_rows)
     per_row = -log_probs[rows, target_idx]
-    # Loss reductions accumulate in float64 even under a float32 policy; the
-    # scalar is cast back so the output stays in the policy dtype.
+    # Loss reductions accumulate in float64 and cast back to the logits' dtype.
     if reduction == "mean":
         out = per_row.mean(dtype=np.float64).astype(per_row.dtype)
     elif reduction == "sum":
@@ -461,19 +456,15 @@ def scaled_dot_product_attention(
     k: Tensor,
     v: Tensor,
     mask: Optional[np.ndarray] = None,
-    dropout_p: float = 0.0,
-    training: bool = False,
     scale: Optional[float] = None,
-    return_weights: bool = False,
     is_causal: bool = False,
-):
+) -> Tensor:
     """``softmax(q @ k^T * scale + mask) @ v`` as a single tape node.
 
     ``q`` is ``(..., q_len, head_dim)``, ``k``/``v`` are ``(..., kv_len,
     head_dim)`` with identical leading dimensions.  ``mask`` is a boolean
     array broadcastable to ``(..., q_len, kv_len)``, ``True`` at positions to
-    hide.  With ``return_weights=True`` the (pre-dropout) attention
-    probabilities are returned as a plain array alongside the output.
+    hide.
 
     ``is_causal=True`` (self-attention, no other mask) dispatches to a
     block-causal kernel that never touches the masked upper triangle: rows
@@ -482,22 +473,18 @@ def scaled_dot_product_attention(
     of computing it and masking it away.  The composed formulation cannot do
     this — it materialises the full score matrix by construction.
     """
-    blocked, mask = _attention_kernel(q.shape[-2], k.shape[-2], mask, is_causal, return_weights)
+    blocked, mask = _attention_kernel(q.shape[-2], k.shape[-2], mask, is_causal)
     if blocked:
-        return _sdpa_causal_blocked(q, k, v, dropout_p=dropout_p, training=training, scale=scale)
+        return _sdpa_causal_blocked(q, k, v, scale=scale)
     q_data, k_data, v_data = q.data, k.data, v.data
-    out, scale, scaled_q, attention, dropped, drop_mask = sdpa_forward(
-        q_data, k_data, v_data, mask, scale, dropout_p, training
-    )
+    out, scale, scaled_q, attention = sdpa_forward(q_data, k_data, v_data, mask, scale)
 
     def backward(grad: np.ndarray) -> None:
         if v.requires_grad:
-            v._accumulate_owned(np.swapaxes(dropped, -1, -2) @ grad)
+            v._accumulate_owned(np.swapaxes(attention, -1, -2) @ grad)
         if not (q.requires_grad or k.requires_grad):
             return
         grad_attention = grad @ np.swapaxes(v_data, -1, -2)
-        if drop_mask is not None:
-            grad_attention *= drop_mask
         # Fused multiply-reduce: no (..., q_len, kv_len) temporary.
         dot = np.einsum("...ij,...ij->...i", grad_attention, attention)[..., None]
         # grad_scores = attention * (grad_attention - dot), in place.
@@ -515,24 +502,20 @@ def scaled_dot_product_attention(
         if k.requires_grad:
             k._accumulate_owned(np.swapaxes(grad_scores, -1, -2) @ scaled_q)
 
-    result = apply_op(out, (q, k, v), backward)
-    if return_weights:
-        return result, attention
-    return result
+    return apply_op(out, (q, k, v), backward)
 
 
 def _attention_kernel(
-    q_len: int, kv_len: int, mask: Optional[np.ndarray], is_causal: bool, return_weights: bool = False
+    q_len: int, kv_len: int, mask: Optional[np.ndarray], is_causal: bool
 ) -> Tuple[bool, Optional[np.ndarray]]:
     """Pick the attention kernel: ``(blocked, mask)``.
 
     ``blocked`` selects the block-causal kernel (long unmasked causal
-    self-attention whose weights nobody asked for); otherwise a causal flag
-    becomes its cached mask.
+    self-attention); otherwise a causal flag becomes its cached mask.
     """
     if not (is_causal and mask is None):
         return False, mask
-    if not return_weights and q_len == kv_len and q_len >= 2 * _CAUSAL_BLOCK:
+    if q_len == kv_len and q_len >= 2 * _CAUSAL_BLOCK:
         return True, None
     return False, cached_causal_mask(q_len, kv_len)
 
@@ -548,7 +531,7 @@ def attention_forward(
     """Array-level :func:`scaled_dot_product_attention` for inference.
 
     The same kernel choice and forward arithmetic as the tape kernel, with
-    no dropout and nothing saved for a backward.
+    nothing saved for a backward.
     """
     blocked, mask = _attention_kernel(q.shape[-2], k.shape[-2], mask, is_causal)
     if blocked:
@@ -562,13 +545,11 @@ def sdpa_forward(
     v: np.ndarray,
     mask: Optional[np.ndarray] = None,
     scale: Optional[float] = None,
-    dropout_p: float = 0.0,
-    training: bool = False,
 ):
     """Array-level forward of the full-score attention kernel.
 
-    Returns ``(out, scale, scaled_q, attention, dropped, drop_mask)``; all
-    but ``out`` are saved for the backward.
+    Returns ``(out, scale, scaled_q, attention)``; all but ``out`` are saved
+    for the backward.
     """
     if scale is None:
         scale = 1.0 / np.sqrt(q.shape[-1])
@@ -586,15 +567,7 @@ def sdpa_forward(
         scores -= row_max
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
-    attention = scores
-    if dropout_p > 0.0 and training:
-        keep = 1.0 - dropout_p
-        drop_mask = (np.random.random(attention.shape) < keep).astype(attention.dtype) / keep
-        dropped = attention * drop_mask
-    else:
-        drop_mask = None
-        dropped = attention
-    return dropped @ v, scale, scaled_q, attention, dropped, drop_mask
+    return scores @ v, scale, scaled_q, scores
 
 
 #: Row-block size of the block-causal attention kernel.  Blocks trade Python
@@ -607,8 +580,6 @@ def _sdpa_causal_blocked(
     q: Tensor,
     k: Tensor,
     v: Tensor,
-    dropout_p: float = 0.0,
-    training: bool = False,
     scale: Optional[float] = None,
 ) -> Tensor:
     """Causal attention over row blocks, skipping the masked upper triangle.
@@ -620,26 +591,21 @@ def _sdpa_causal_blocked(
     diagonal corner of each slab needs masking.
     """
     q_data, k_data, v_data = q.data, k.data, v.data
-    out, scale, scaled_q, blocks = sdpa_causal_blocked_forward(
-        q_data, k_data, v_data, scale, dropout_p, training
-    )
+    out, scale, scaled_q, blocks = sdpa_causal_blocked_forward(q_data, k_data, v_data, scale)
 
     def backward(grad: np.ndarray) -> None:
         need_qk = q.requires_grad or k.requires_grad
         grad_q = np.zeros_like(q_data) if q.requires_grad else None
         grad_k = np.zeros_like(k_data) if k.requires_grad else None
         grad_v = np.zeros_like(v_data) if v.requires_grad else None
-        for r0, r1, attention, drop_mask in blocks:
+        for r0, r1, attention in blocks:
             rb = r1 - r0
             grad_block = grad[..., r0:r1, :]
-            dropped_blk = attention * drop_mask if drop_mask is not None else attention
             if grad_v is not None:
-                grad_v[..., :r1, :] += np.swapaxes(dropped_blk, -1, -2) @ grad_block
+                grad_v[..., :r1, :] += np.swapaxes(attention, -1, -2) @ grad_block
             if not need_qk:
                 continue
             grad_attention = grad_block @ np.swapaxes(v_data[..., :r1, :], -1, -2)
-            if drop_mask is not None:
-                grad_attention *= drop_mask
             dot = np.einsum("...ij,...ij->...i", grad_attention, attention)[..., None]
             grad_scores = grad_attention
             grad_scores -= dot
@@ -668,14 +634,11 @@ def sdpa_causal_blocked_forward(
     k: np.ndarray,
     v: np.ndarray,
     scale: Optional[float] = None,
-    dropout_p: float = 0.0,
-    training: bool = False,
 ):
     """Array-level forward of the block-causal attention kernel.
 
     Returns ``(out, scale, scaled_q, blocks)``; ``blocks`` holds one
-    ``(r0, r1, attention_slab, drop_mask_slab)`` per row block for the
-    backward.
+    ``(r0, r1, attention_slab)`` per row block for the backward.
     """
     length = q.shape[-2]
     if scale is None:
@@ -695,15 +658,8 @@ def sdpa_causal_blocked_forward(
             scores -= row_max
         np.exp(scores, out=scores)
         scores /= scores.sum(axis=-1, keepdims=True)
-        if dropout_p > 0.0 and training:
-            keep = 1.0 - dropout_p
-            drop_mask = (np.random.random(scores.shape) < keep).astype(scores.dtype) / keep
-            dropped = scores * drop_mask
-        else:
-            drop_mask = None
-            dropped = scores
-        out[..., r0:r1, :] = dropped @ v[..., :r1, :]
-        blocks.append((r0, r1, scores, drop_mask))
+        out[..., r0:r1, :] = scores @ v[..., :r1, :]
+        blocks.append((r0, r1, scores))
     return out, scale, scaled_q, blocks
 
 

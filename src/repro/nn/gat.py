@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn import init
-from repro.nn.layers import Dropout
 from repro.nn.module import Module, ModuleList, Parameter
 from repro.nn.tensor import Tensor
 
@@ -49,7 +48,6 @@ class GraphAttentionLayer(Module):
         self,
         in_features: int,
         out_features: int,
-        dropout: float = 0.0,
         negative_slope: float = 0.2,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
@@ -60,7 +58,6 @@ class GraphAttentionLayer(Module):
         self.weight = Parameter(init.xavier_uniform((in_features, out_features), rng=rng))
         self.attn_src = Parameter(init.xavier_uniform((out_features, 1), rng=rng))
         self.attn_dst = Parameter(init.xavier_uniform((out_features, 1), rng=rng))
-        self.dropout = Dropout(dropout)
 
     def forward(self, x: Tensor, adjacency: np.ndarray, blocked: Optional[np.ndarray] = None) -> Tensor:
         """Attend over ``adjacency``; ``blocked`` is its precomputed :func:`attention_blocked` mask."""
@@ -74,7 +71,6 @@ class GraphAttentionLayer(Module):
         src_scores = h.matmul(self.attn_src)  # (..., N, 1)
         dst_scores = h.matmul(self.attn_dst)  # (..., N, 1)
         attention = F.graph_attention(src_scores, dst_scores, blocked, self.negative_slope)
-        attention = self.dropout(attention)
         return attention.matmul(h)
 
 
@@ -93,7 +89,6 @@ class GAT(Module):
         out_features: int,
         num_layers: int = 2,
         num_heads: int = 2,
-        dropout: float = 0.0,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
@@ -107,7 +102,7 @@ class GAT(Module):
             is_last = layer_idx == num_layers - 1
             out_dim = out_features if is_last else hidden_features
             heads = ModuleList(
-                [GraphAttentionLayer(dims_in, out_dim, dropout=dropout, rng=rng) for _ in range(num_heads)]
+                [GraphAttentionLayer(dims_in, out_dim, rng=rng) for _ in range(num_heads)]
             )
             self.layers.append(heads)
             dims_in = out_dim if is_last else out_dim * num_heads

@@ -1,20 +1,8 @@
-"""Parameter initialisation schemes.
-
-Every initialiser returns an array in the active compute-policy dtype (see
-:func:`repro.nn.tensor.compute_dtype`), so models built under a float32
-policy get float32 parameters without the layers having to care.
-"""
+"""Parameter initialisation schemes; every initialiser returns a float64 array."""
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.nn.tensor import get_compute_dtype
-
-
-def _finalise(array: np.ndarray) -> np.ndarray:
-    """Cast an initialiser's output to the active compute dtype."""
-    return np.asarray(array, dtype=get_compute_dtype())
 
 
 def xavier_uniform(shape, gain: float = 1.0, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -22,21 +10,21 @@ def xavier_uniform(shape, gain: float = 1.0, rng: np.random.Generator | None = N
     rng = rng or np.random.default_rng()
     fan_in, fan_out = _fans(shape)
     limit = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    return _finalise(rng.uniform(-limit, limit, size=shape))
+    return rng.uniform(-limit, limit, size=shape)
 
 
 def normal(shape, std: float = 0.02, rng: np.random.Generator | None = None) -> np.ndarray:
     """Gaussian initialisation (GPT-2 uses std=0.02)."""
     rng = rng or np.random.default_rng()
-    return _finalise(rng.normal(0.0, std, size=shape))
+    return rng.normal(0.0, std, size=shape)
 
 
 def zeros(shape) -> np.ndarray:
-    return np.zeros(shape, dtype=get_compute_dtype())
+    return np.zeros(shape)
 
 
 def ones(shape) -> np.ndarray:
-    return np.ones(shape, dtype=get_compute_dtype())
+    return np.ones(shape)
 
 
 def _fans(shape) -> tuple[int, int]:

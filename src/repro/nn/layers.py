@@ -83,19 +83,6 @@ class LayerNorm(Module):
         return F.layer_norm_composed(x, self.weight, self.bias, eps=self.eps)
 
 
-class Dropout(Module):
-    """Randomly zero activations during training."""
-
-    def __init__(self, p: float = 0.1) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError("dropout probability must be in [0, 1)")
-        self.p = p
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.dropout(self.p, training=self.training)
-
-
 class GELU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.gelu(x)

@@ -35,7 +35,7 @@ class LoRALinear(Module):
     deployment form, Hu et al. 2021, Sec. 4).  ``W_merged`` is memoised in
     a :class:`~repro.nn.module.WeightMemo`, so it is rebuilt after any write
     that reassigns a weight's ``.data`` (optimisers, ``load_state_dict``,
-    transfer) or a compute-dtype switch.  An in-place write into a weight
+    transfer).  An in-place write into a weight
     array is not seen.  Merged and unmerged outputs differ only in
     summation order.
     """

@@ -8,7 +8,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.nn.tensor import Tensor, get_compute_dtype
+from repro.nn.tensor import Tensor
 
 #: Bumped whenever any module registers a parameter or a sub-module, so a
 #: cached parameter list (:meth:`Module.cached_parameters`) can tell that the
@@ -194,8 +194,8 @@ _DATA = operator.attrgetter("data")
 class WeightMemo:
     """A value computed from a module's weights, kept while they are unchanged.
 
-    The value is stamped on the compute dtype, the caller's ``extra`` values
-    and the identity of every parameter array below the module.  Optimisers,
+    The value is stamped on the caller's ``extra`` values and the identity
+    of every parameter array below the module.  Optimisers,
     ``load_state_dict`` and transfer reassign a weight's ``.data``, which
     the stamp sees; an in-place write into a weight array is not seen.  The
     stamp holds the arrays themselves, so their ids cannot be recycled by a
@@ -213,19 +213,17 @@ class WeightMemo:
     def get(self, build: Callable[[], object], *extra):
         """The memoised value, rebuilt by ``build()`` when its stamp is stale."""
         arrays = list(map(_DATA, self._module.cached_parameters()))
-        dtype = get_compute_dtype()
         entry = self._entry
         if entry is not None:
-            (old_dtype, old_extra, old_arrays), value = entry
+            (old_extra, old_arrays), value = entry
             if (
-                old_dtype == dtype
-                and old_extra == extra
+                old_extra == extra
                 and len(old_arrays) == len(arrays)
                 and all(map(operator.is_, old_arrays, arrays))
             ):
                 return value
         value = build()
-        self._entry = ((dtype, extra, arrays), value)
+        self._entry = ((extra, arrays), value)
         return value
 
     def clear(self) -> None:

@@ -1,10 +1,8 @@
 """The Adam optimiser and global gradient-norm clipping.
 
-Under a float32 compute policy (see :func:`repro.nn.tensor.compute_dtype`)
-the Adam moment estimates are still accumulated in float64 — exponential
-moving averages are exactly the kind of long-horizon sum float32 degrades —
-and every update is cast back to the parameter's own dtype, so parameters
-never silently change precision across a ``step()``.
+The Adam moment estimates accumulate in float64 and every update is cast
+back to the parameter's own dtype, so a parameter never changes precision
+across a ``step()``.
 """
 
 from __future__ import annotations

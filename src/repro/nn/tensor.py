@@ -11,18 +11,10 @@ they cover the usual deep-learning workload: broadcasting arithmetic, matrix
 multiplication, reductions, indexing, concatenation, common activations and
 shape manipulation.
 
-**Compute-dtype policy.**  The engine runs in float64 by default; the
-:func:`compute_dtype` context manager (or :func:`set_compute_dtype`) switches
-the whole stack — parameters created by :mod:`repro.nn.init`, activations,
-and gradients — to float32, roughly halving memory traffic on the
-memory-bound kernels.  The policy is *downcast-only*: float64 inputs are cast
-down to the active policy dtype when tensors are constructed, while
-explicitly lower-precision inputs (e.g. a float32 array under the default
-float64 policy) are left untouched, so the default policy is bit-identical to
-the historical engine.  Gradients follow each tensor's own dtype (a float32
-tensor accumulates float32 gradients); reductions that are numerically
-delicate — ``sum``/``mean`` over float32 data, Adam's moment estimates —
-accumulate in float64 internally and cast back.
+**Dtypes.**  Parameters (:mod:`repro.nn.init`) and activations are
+float64.  A tensor keeps the dtype of the array it wraps, except that
+float16 is promoted to float32; gradients follow each tensor's own dtype,
+and ``sum``/``mean`` over float32 data accumulate in float64 and cast back.
 """
 
 from __future__ import annotations
@@ -42,56 +34,6 @@ ArrayLike = Union[np.ndarray, float, int, list, tuple, "Tensor"]
 _GRAD_STATE = threading.local()
 
 _FUSED_ENABLED = True
-
-_COMPUTE_DTYPE = np.dtype(np.float64)
-
-#: True only under a float32 policy, so the per-construction downcast check in
-#: ``_as_array`` costs one global-bool read on the (default) float64 path.
-_DOWNCAST_ACTIVE = False
-
-_COMPUTE_DTYPES = {"float32": np.dtype(np.float32), "float64": np.dtype(np.float64)}
-
-
-def get_compute_dtype() -> np.dtype:
-    """Return the active compute-policy dtype (float64 unless switched)."""
-    return _COMPUTE_DTYPE
-
-
-def set_compute_dtype(dtype) -> np.dtype:
-    """Globally set the compute policy; accepts ``"float32"``/``"float64"``.
-
-    Returns the previous policy dtype so callers can restore it.
-    """
-    global _COMPUTE_DTYPE, _DOWNCAST_ACTIVE
-    if isinstance(dtype, str):
-        if dtype not in _COMPUTE_DTYPES:
-            raise ValueError(f"unknown compute dtype {dtype!r}; choose from {sorted(_COMPUTE_DTYPES)}")
-        dtype = _COMPUTE_DTYPES[dtype]
-    dtype = np.dtype(dtype)
-    if dtype not in _COMPUTE_DTYPES.values():
-        raise ValueError(f"compute dtype must be float32 or float64, got {dtype!r}")
-    previous = _COMPUTE_DTYPE
-    _COMPUTE_DTYPE = dtype
-    _DOWNCAST_ACTIVE = dtype != np.float64
-    return previous
-
-
-@contextlib.contextmanager
-def compute_dtype(dtype):
-    """Context manager selecting the engine-wide compute dtype.
-
-    ``with compute_dtype("float32"): ...`` makes every tensor constructed
-    inside the block — parameters, activations and the gradients flowing back
-    through them — float32.  Float64 inputs are downcast on construction;
-    already-lower-precision inputs are never upcast, so nesting policies is
-    safe and the default ``"float64"`` policy reproduces the historical
-    engine exactly.
-    """
-    previous = set_compute_dtype(dtype)
-    try:
-        yield
-    finally:
-        set_compute_dtype(previous)
 
 
 def is_grad_enabled() -> bool:
@@ -159,10 +101,6 @@ def _as_array(value: ArrayLike, dtype=None) -> np.ndarray:
     array = np.asarray(value, dtype=dtype)
     if array.dtype == np.float16:
         array = array.astype(np.float32)
-    if _DOWNCAST_ACTIVE and dtype is None and array.dtype == np.float64:
-        # Downcast-only policy: float64 data drops to a float32 policy, but a
-        # float32 array under the float64 policy keeps its precision.
-        array = array.astype(_COMPUTE_DTYPE)
     return array
 
 
@@ -172,36 +110,23 @@ def _grad_dtype(data: np.ndarray) -> np.dtype:
 
 
 _FLOAT16 = np.dtype(np.float16)
-_FLOAT64 = np.dtype(np.float64)
-
-
-def cast_output(data) -> np.ndarray:
-    """An op's output array as the engine stores it.
-
-    An op output is already a numeric ndarray, or a NumPy scalar from a full
-    reduction, so only the construction rules that can change it run here:
-    scalars become 0-d arrays, float16 is promoted to float32 and float64
-    follows the downcast policy.  The array-level inference pass of
-    ``GPT2Model`` applies it after each op, where :func:`_wrap` would.
-    """
-    if type(data) is not np.ndarray:
-        data = np.asarray(data)
-    dtype = data.dtype
-    if dtype == _FLOAT16:
-        return data.astype(np.float32)
-    if _DOWNCAST_ACTIVE and dtype == _FLOAT64:
-        return data.astype(_COMPUTE_DTYPE)
-    return data
 
 
 def _wrap(data) -> "Tensor":
     """Wrap an op's output array as a graph-free tensor, skipping ``__init__``.
 
-    The tensor holds what ``Tensor(data)`` would hold (see
-    :func:`cast_output`); the constructor's dtype validation is skipped.
+    An op output is already a numeric ndarray, or a NumPy scalar from a full
+    reduction, so only the construction rules that can change it run here:
+    scalars become 0-d arrays and float16 is promoted to float32.  The
+    tensor holds what ``Tensor(data)`` would hold; the constructor's dtype
+    validation is skipped.
     """
+    if type(data) is not np.ndarray:
+        data = np.asarray(data)
+    if data.dtype == _FLOAT16:
+        data = data.astype(np.float32)
     out = Tensor.__new__(Tensor)
-    out.data = cast_output(data)
+    out.data = data
     out.requires_grad = False
     out.grad = None
     out._backward = None
@@ -306,32 +231,6 @@ class Tensor:
 
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy(), requires_grad=self.requires_grad)
-
-    def astype(self, dtype) -> "Tensor":
-        """Cast to ``dtype`` as a differentiable tape op (for float targets).
-
-        The backward casts the incoming gradient back to the source dtype, so
-        dtype-policy code can move tensors between float32 and float64 without
-        silently detaching them from the tape.  Casts to non-float dtypes are
-        not differentiable and return a detached tensor, as before.
-        """
-        dtype = np.dtype(dtype)
-        data = self.data.astype(dtype)
-        # The explicit dtype bypasses the construction-time downcast policy:
-        # an upcast to float64 inside a float32 region must stick.
-        if dtype.kind != "f" or self.data.dtype.kind != "f":
-            return Tensor(data, requires_grad=False, dtype=dtype)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad)
-
-        requires = is_grad_enabled() and self.requires_grad
-        out = Tensor(data, requires_grad=requires, dtype=dtype)
-        if requires:
-            out._parents = (self,)
-            out._backward = backward
-        return out
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -527,8 +426,8 @@ class Tensor:
     # ------------------------------------------------------------------
     def sum(self, axis: Optional[Union[int, Tuple[int, ...]]] = None, keepdims: bool = False) -> "Tensor":
         if self.data.dtype == np.float32:
-            # Float32 policy: reductions (losses, norms) accumulate in float64
-            # and cast back, so long sums keep full precision.
+            # Float32 reductions (losses, norms) accumulate in float64 and
+            # cast back, so long sums keep full precision.
             data = self.data.sum(axis=axis, keepdims=keepdims, dtype=np.float64).astype(np.float32)
         else:
             data = self.data.sum(axis=axis, keepdims=keepdims)
@@ -814,19 +713,6 @@ class Tensor:
 
         return apply_op(data, (self,), backward)
 
-    def dropout(self, p: float, training: bool = True) -> "Tensor":
-        if not training or p <= 0.0:
-            return self
-        keep = 1.0 - p
-        mask = (np.random.random(self.data.shape) < keep).astype(self.data.dtype) / keep
-        data = self.data * mask
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate_owned(grad * mask)
-
-        return apply_op(data, (self,), backward)
-
     # ------------------------------------------------------------------
     # Static constructors and combinators
     # ------------------------------------------------------------------
@@ -862,11 +748,11 @@ class Tensor:
 
     @staticmethod
     def zeros(shape, requires_grad: bool = False, dtype=None) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=dtype or _COMPUTE_DTYPE), requires_grad=requires_grad)
+        return Tensor(np.zeros(shape, dtype=dtype or np.float64), requires_grad=requires_grad)
 
     @staticmethod
     def ones(shape, requires_grad: bool = False, dtype=None) -> "Tensor":
-        return Tensor(np.ones(shape, dtype=dtype or _COMPUTE_DTYPE), requires_grad=requires_grad)
+        return Tensor(np.ones(shape, dtype=dtype or np.float64), requires_grad=requires_grad)
 
     @staticmethod
     def randn(*shape, requires_grad: bool = False, scale: float = 1.0, rng: Optional[np.random.Generator] = None) -> "Tensor":
@@ -875,4 +761,4 @@ class Tensor:
 
     @staticmethod
     def arange(*args, dtype=None) -> "Tensor":
-        return Tensor(np.arange(*args, dtype=dtype or _COMPUTE_DTYPE))
+        return Tensor(np.arange(*args, dtype=dtype or np.float64))

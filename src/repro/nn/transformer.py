@@ -17,23 +17,22 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn.attention import KVCache, MultiHeadAttention, attention_mask
-from repro.nn.layers import Dropout, Embedding, GELU, LayerNorm, Linear
+from repro.nn.layers import Embedding, GELU, LayerNorm, Linear
 from repro.nn.module import Module, ModuleList, WeightMemo
-from repro.nn.tensor import Tensor, cast_output, fused_enabled, is_grad_enabled
+from repro.nn.tensor import Tensor, fused_enabled, is_grad_enabled
 
 
 class FeedForward(Module):
     """Position-wise feed-forward network used inside transformer blocks."""
 
-    def __init__(self, d_model: int, d_ff: int, dropout: float = 0.0, rng=None) -> None:
+    def __init__(self, d_model: int, d_ff: int, rng=None) -> None:
         super().__init__()
         self.fc_in = Linear(d_model, d_ff, rng=rng)
         self.act = GELU()
         self.fc_out = Linear(d_ff, d_model, rng=rng)
-        self.dropout = Dropout(dropout)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.dropout(self.fc_out(self.act(self.fc_in(x))))
+        return self.fc_out(self.act(self.fc_in(x)))
 
 
 class TransformerBlock(Module):
@@ -44,16 +43,15 @@ class TransformerBlock(Module):
         d_model: int,
         num_heads: int,
         d_ff: Optional[int] = None,
-        dropout: float = 0.0,
         causal: bool = True,
         rng=None,
     ) -> None:
         super().__init__()
         d_ff = d_ff or 4 * d_model
         self.ln_1 = LayerNorm(d_model)
-        self.attn = MultiHeadAttention(d_model, num_heads, dropout=dropout, causal=causal, rng=rng)
+        self.attn = MultiHeadAttention(d_model, num_heads, causal=causal, rng=rng)
         self.ln_2 = LayerNorm(d_model)
-        self.mlp = FeedForward(d_model, d_ff, dropout=dropout, rng=rng)
+        self.mlp = FeedForward(d_model, d_ff, rng=rng)
 
     def forward(
         self,
@@ -64,15 +62,6 @@ class TransformerBlock(Module):
         x = x + self.attn(self.ln_1(x), padding_mask=padding_mask, cache=cache)
         x = x + self.mlp(self.ln_2(x))
         return x
-
-    def needs_modules(self) -> bool:
-        """Whether a forward must run module by module: the block records
-        attention weights or drops activations out."""
-        attn = self.attn
-        return attn.record_attention or any(
-            dropout.training and dropout.p > 0.0
-            for dropout in (attn.attn_dropout, attn.resid_dropout, self.mlp.dropout)
-        )
 
     def inference_plan(self) -> "_BlockPlan":
         """The block's weights as arrays, LoRA merged, for :func:`_block_pass`."""
@@ -121,26 +110,24 @@ def _block_pass(
 ) -> np.ndarray:
     """:meth:`TransformerBlock.forward` under ``no_grad`` as one pass over arrays.
 
-    It calls the array-level forwards the fused kernels run and casts each
-    op's output the way the tape's ``_wrap`` does, so it returns exactly
-    what the module path returns; there is no dropout and nothing recorded.
+    It calls the array-level forwards the fused kernels run, so it returns
+    exactly what the module path returns, with nothing recorded.
     """
     (ln_1, q_proj, k_proj, v_proj, out_proj, ln_2, fc_in, fc_out, num_heads, head_dim, scale) = plan
     batch, length, d_model = x.shape
     heads = (batch, length, num_heads, head_dim)
-    h = cast_output(F.layer_norm_forward(x, *ln_1)[0])
-    q = cast_output(F.linear_forward(h, *q_proj)).reshape(heads).transpose(0, 2, 1, 3)
-    k = cast_output(F.linear_forward(h, *k_proj)).reshape(heads).transpose(0, 2, 1, 3)
-    v = cast_output(F.linear_forward(h, *v_proj)).reshape(heads).transpose(0, 2, 1, 3)
+    h = F.layer_norm_forward(x, *ln_1)[0]
+    q = F.linear_forward(h, *q_proj).reshape(heads).transpose(0, 2, 1, 3)
+    k = F.linear_forward(h, *k_proj).reshape(heads).transpose(0, 2, 1, 3)
+    v = F.linear_forward(h, *v_proj).reshape(heads).transpose(0, 2, 1, 3)
     if cache is not None:
         k, v = cache.append(k, v)
-    context = cast_output(F.attention_forward(q, k, v, mask, scale, is_causal))
+    context = F.attention_forward(q, k, v, mask, scale, is_causal)
     context = context.transpose(0, 2, 1, 3).reshape(batch, length, d_model)
-    x = cast_output(x + cast_output(F.linear_forward(context, *out_proj)))
-    h = cast_output(F.layer_norm_forward(x, *ln_2)[0])
-    h = cast_output(F.linear_forward(h, *fc_in))
-    h = cast_output(F.gelu_forward(h)[0])
-    return cast_output(x + cast_output(F.linear_forward(h, *fc_out)))
+    x = x + F.linear_forward(context, *out_proj)
+    h = F.layer_norm_forward(x, *ln_2)[0]
+    h = F.gelu_forward(F.linear_forward(h, *fc_in))[0]
+    return x + F.linear_forward(h, *fc_out)
 
 
 @dataclass
@@ -157,7 +144,6 @@ class GPT2Config:
     num_heads: int = 4
     d_ff: Optional[int] = None
     max_position: int = 512
-    dropout: float = 0.0
     vocab_size: int = 0
     causal: bool = True
     seed: Optional[int] = None
@@ -189,14 +175,12 @@ class GPT2Model(Module):
         else:
             self.token_embedding = None
         self.position_embedding = Embedding(config.max_position, config.d_model, rng=rng)
-        self.drop = Dropout(config.dropout)
         self.blocks = ModuleList(
             [
                 TransformerBlock(
                     config.d_model,
                     config.num_heads,
                     d_ff=config.d_ff,
-                    dropout=config.dropout,
                     causal=config.causal,
                     rng=rng,
                 )
@@ -240,9 +224,9 @@ class GPT2Model(Module):
         new token logically continues *its own* sequence.
 
         Under ``no_grad`` with the fused kernels the blocks run as one array
-        pass over a weight plan memoised on the parameter arrays and the
-        compute dtype (see :meth:`_inference_plan`); it returns exactly what
-        the module-by-module forward returns.
+        pass over a weight plan memoised on the parameter arrays (see
+        :meth:`_inference_plan`); it returns exactly what the module-by-module
+        forward returns.
         """
         batch, length, d_model = embeddings.shape
         if d_model != self.config.d_model:
@@ -275,7 +259,6 @@ class GPT2Model(Module):
                 if position_ids.ndim == 1:
                     pos = pos.reshape(1, length, d_model)
             x = x + pos
-        x = self.drop(x)
         plan = self._inference_plan()
         if plan is not None:
             block_plans, ln_f = plan
@@ -293,13 +276,10 @@ class GPT2Model(Module):
 
         Under ``no_grad`` with the fused kernels, :meth:`forward` runs every
         block as one :func:`_block_pass`.  The module path stays the one
-        that records gradients, the composed-kernel oracle
-        (``fused_kernels(False)``), the ``record_attention`` inspection path
-        and the one that applies dropout in train mode.
+        that records gradients and the composed-kernel oracle
+        (``fused_kernels(False)``).
         """
-        if is_grad_enabled() or not fused_enabled() or (self.drop.training and self.drop.p > 0.0):
-            return None
-        if any(block.needs_modules() for block in self.blocks):
+        if is_grad_enabled() or not fused_enabled():
             return None
         return self._plan.get(self._build_plan)
 
@@ -320,7 +300,6 @@ class TransformerEncoder(Module):
         num_layers: int = 2,
         num_heads: int = 4,
         d_ff: Optional[int] = None,
-        dropout: float = 0.0,
         max_position: int = 512,
         seed: Optional[int] = None,
     ) -> None:
@@ -330,7 +309,7 @@ class TransformerEncoder(Module):
         self.position_embedding = Embedding(max_position, d_model, rng=rng)
         self.blocks = ModuleList(
             [
-                TransformerBlock(d_model, num_heads, d_ff=d_ff, dropout=dropout, causal=False, rng=rng)
+                TransformerBlock(d_model, num_heads, d_ff=d_ff, causal=False, rng=rng)
                 for _ in range(num_layers)
             ]
         )

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -47,3 +50,21 @@ class TestSaveAndLoad:
     def test_missing_file_raises(self, tiny_dataset, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_checkpoint_metadata(tmp_path / "nothing.npz")
+
+
+class TestRecordedConfig:
+    """A config record that does not fit ``BIGCityConfig`` is a ``ValueError`` naming the file."""
+
+    def _write(self, model, path, config_record):
+        return save_state_dict(model, path, metadata={"bigcity_config": json.dumps(config_record)})
+
+    def test_unknown_field_names_path_and_field(self, trained_model, tiny_dataset, tmp_path):
+        record = {**dataclasses.asdict(trained_model.config), "dropout": 0.0}
+        path = self._write(trained_model, tmp_path / "old.npz", record)
+        with pytest.raises(ValueError, match=r"old\.npz.*\['dropout'\]"):
+            load_bigcity(path, tiny_dataset)
+
+    def test_config_that_is_not_an_object(self, trained_model, tiny_dataset, tmp_path):
+        path = self._write(trained_model, tmp_path / "list.npz", [1, 2, 3])
+        with pytest.raises(ValueError, match=r"list\.npz.*JSON object"):
+            load_bigcity(path, tiny_dataset)

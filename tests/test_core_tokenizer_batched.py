@@ -8,10 +8,10 @@ MLP once over a stack of units.  ``repro.eval.perfbench.reference_tokenizer``
 restores the per-slice loop, the per-row tape nodes and the one-row partial
 tokens.  The claims pinned here, on seeded generated inputs:
 
-* tokens equal the reference bit for bit under float64 and float32, on
-  slice sets that cover slices ``0 .. history_window`` (the zero-padded
-  history) and the last slice, with a ``traffic_override``, and with the
-  memo filled against uncached, for every encoder combination;
+* tokens equal the reference bit for bit on slice sets that cover slices
+  ``0 .. history_window`` (the zero-padded history) and the last slice,
+  with a ``traffic_override``, and with the memo filled against uncached,
+  for every encoder combination;
 * stacked partial tokens equal one-row passes bit for bit (unknown
   segment, unknown timestamp, duplicate units);
 * gradients equal the reference's up to summation order;
@@ -31,9 +31,8 @@ from repro.eval.perfbench import reference_tokenizer
 from repro.nn import functional as F
 from repro.nn.attention import CrossAttentionPool
 from repro.nn.gat import GAT
-from repro.nn.tensor import Tensor, compute_dtype, no_grad
+from repro.nn.tensor import Tensor, no_grad
 
-DTYPES = ["float64", "float32"]
 #: Encoder combinations: the default, no traffic (static only, one fused
 #: row serves every slice), no static encoder and no fusion.
 VARIANTS = ["default", "no_traffic", "dynamic_only", "no_fusion"]
@@ -116,68 +115,60 @@ class TestGeneratedInputs:
 
 
 class TestBatchedEqualsPerSlice:
-    @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("seed", range(2))
-    def test_tokens_bit_identical(self, tiny_dataset, tiny_dataset_no_traffic, variant, dtype, seed):
+    def test_tokens_bit_identical(self, tiny_dataset, tiny_dataset_no_traffic, variant, seed):
         rng = np.random.default_rng(seed)
         model, dataset = _model(tiny_dataset, tiny_dataset_no_traffic, variant, seed)
         sequences, masks = _sequences(model, dataset, rng)
         units = _units(tiny_dataset, rng)
-        with compute_dtype(dtype):
-            batched = _encode(model.tokenizer, sequences, masks, units)
-            with reference_tokenizer():
-                reference = _encode(model.tokenizer, sequences, masks, units)
+        batched = _encode(model.tokenizer, sequences, masks, units)
+        with reference_tokenizer():
+            reference = _encode(model.tokenizer, sequences, masks, units)
         _assert_same_tokens(batched, reference)
 
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_traffic_override(self, tiny_dataset, dtype):
+    def test_traffic_override(self, tiny_dataset):
         rng = np.random.default_rng(3)
         model = BIGCity.from_dataset(tiny_dataset, config=BIGCityConfig.tiny(seed=3))
         sequences, masks = _sequences(model, tiny_dataset, rng)
         units = _units(tiny_dataset, rng)
         values = tiny_dataset.traffic_states.values
         override = values + rng.standard_normal(values.shape) * values.std()
-        with compute_dtype(dtype):
-            plain = _encode(model.tokenizer, sequences, masks, units)
-            batched = _encode(model.tokenizer, sequences, masks, units, traffic_override=override)
-            with reference_tokenizer():
-                reference = _encode(model.tokenizer, sequences, masks, units, traffic_override=override)
+        plain = _encode(model.tokenizer, sequences, masks, units)
+        batched = _encode(model.tokenizer, sequences, masks, units, traffic_override=override)
+        with reference_tokenizer():
+            reference = _encode(model.tokenizer, sequences, masks, units, traffic_override=override)
         _assert_same_tokens(batched, reference)
         assert not np.array_equal(plain[0][-1].data, batched[0][-1].data)
 
-    @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("variant", ["default", "no_traffic"])
-    def test_memo_filled_equals_uncached(self, tiny_dataset, tiny_dataset_no_traffic, variant, dtype):
+    def test_memo_filled_equals_uncached(self, tiny_dataset, tiny_dataset_no_traffic, variant):
         rng = np.random.default_rng(4)
         model, dataset = _model(tiny_dataset, tiny_dataset_no_traffic, variant, 4)
         sequences, masks = _sequences(model, dataset, rng)
         units = _units(tiny_dataset, rng)
-        with compute_dtype(dtype):
-            # Grad mode with a trainable tokenizer bypasses the memo.
-            with reference_tokenizer():
-                uncached = _encode(model.tokenizer, sequences, masks, units)
-            with no_grad():
-                # Fill part of the memo, then ask for every slice: part hits,
-                # the rest is computed into the memo, then all of it hits.
-                _encode(model.tokenizer, sequences[::2], masks[::2], units)
-                partly = _encode(model.tokenizer, sequences, masks, units)
-                warm = _encode(model.tokenizer, sequences, masks, units)
+        # Grad mode with a trainable tokenizer bypasses the memo.
+        with reference_tokenizer():
+            uncached = _encode(model.tokenizer, sequences, masks, units)
+        with no_grad():
+            # Fill part of the memo, then ask for every slice: part hits,
+            # the rest is computed into the memo, then all of it hits.
+            _encode(model.tokenizer, sequences[::2], masks[::2], units)
+            partly = _encode(model.tokenizer, sequences, masks, units)
+            warm = _encode(model.tokenizer, sequences, masks, units)
         _assert_same_tokens(partly, uncached)
         _assert_same_tokens(warm, uncached)
 
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_stacked_partials_equal_one_row_passes(self, tiny_dataset, dtype):
+    def test_stacked_partials_equal_one_row_passes(self, tiny_dataset):
         model = BIGCity.from_dataset(tiny_dataset, config=BIGCityConfig.tiny(seed=5))
         tokenizer = model.tokenizer
         units = _units(tiny_dataset, np.random.default_rng(5))
-        with compute_dtype(dtype):
-            static = tokenizer.static_representations()
-            tokens, rows = tokenizer.encode_partials(units, static_cache=static)
-            for unit, row in zip(units, rows):
-                single = tokenizer.encode_partial(*unit, static_cache=static)
-                assert single.shape == (tokenizer.d_model,)
-                np.testing.assert_array_equal(tokens.data[row], single.data)
+        static = tokenizer.static_representations()
+        tokens, rows = tokenizer.encode_partials(units, static_cache=static)
+        for unit, row in zip(units, rows):
+            single = tokenizer.encode_partial(*unit, static_cache=static)
+            assert single.shape == (tokenizer.d_model,)
+            np.testing.assert_array_equal(tokens.data[row], single.data)
         assert tokens.shape == (len(set(units)), tokenizer.d_model)
         assert [units.index(unit) for unit in units] == [list(rows).index(row) for row in rows]
 
@@ -240,14 +231,12 @@ class TestBatchedEqualsPerSlice:
 
 
 class TestStackedLayers:
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_gat_and_fusion_take_leading_slice_axes(self, dtype):
+    def test_gat_and_fusion_take_leading_slice_axes(self):
         rng = np.random.default_rng(8)
         adjacency = rng.random((9, 9)) < 0.3
         gat = GAT(5, 6, 4, num_layers=2, num_heads=2, rng=rng)
         pool = CrossAttentionPool(4, rng=rng)
         x = rng.standard_normal((6, 9, 5))
-        with compute_dtype(dtype):
-            stacked = pool(gat(Tensor(x), adjacency)).data
-            for index in range(x.shape[0]):
-                np.testing.assert_array_equal(stacked[index], pool(gat(Tensor(x[index]), adjacency)).data)
+        stacked = pool(gat(Tensor(x), adjacency)).data
+        for index in range(x.shape[0]):
+            np.testing.assert_array_equal(stacked[index], pool(gat(Tensor(x[index]), adjacency)).data)

@@ -5,13 +5,12 @@ serves ``static_representations`` / ``fused_representations`` from a memo
 and computes only the slices it has not seen.  The claims pinned here:
 
 * cached == uncached bit-for-bit for the batched traffic prediction,
-  traffic imputation and KV-cached rollout entry points, under the float64
-  and float32 compute policies and with fused kernels on and off, on seeded
-  slice sets that include slice 0, the zero-padded history window and the
+  traffic imputation and KV-cached rollout entry points, with fused
+  kernels on and off, on seeded slice sets that include slice 0, the zero-padded history window and the
   last slice;
 * a stale memo is never served: after an optimiser step, a state-dict
-  load, a new traffic tensor, ``unfreeze()`` under grad mode or a compute
-  dtype / kernel switch, answers equal a freshly built model's;
+  load, a new traffic tensor, ``unfreeze()`` under grad mode or a kernel
+  switch, answers equal a freshly built model's;
 * a ``traffic_override`` bypasses the memo;
 * stage-1 training (grad enabled, tokenizer trainable) computes the same
   loss and gradients as a model that never filled its memo;
@@ -30,10 +29,9 @@ from repro.core.model import BIGCity
 from repro.data.traffic_state import TrafficStateSeries
 from repro.data.trajectory import Trajectory
 from repro.nn.optim import Adam
-from repro.nn.tensor import compute_dtype, fused_kernels, no_grad
+from repro.nn.tensor import fused_kernels, no_grad
 from repro.serving import results_equal
 
-DTYPES = ["float64", "float32"]
 TASKS = ["prediction", "imputation", "rollout"]
 
 
@@ -137,11 +135,10 @@ class TestGeneratedSlices:
 
 class TestCachedEqualsUncached:
     @pytest.mark.parametrize("fused", [True, False])
-    @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("task", TASKS)
-    def test_warm_and_partial_memo_match_cold(self, tiny_dataset, tiny_config, weights, task, dtype, fused):
+    def test_warm_and_partial_memo_match_cold(self, tiny_dataset, tiny_config, weights, task, fused):
         model = _fresh(tiny_dataset, tiny_config, weights)
-        with compute_dtype(dtype), fused_kernels(fused):
+        with fused_kernels(fused):
             cold = _run(model, tiny_dataset, task, seed=11)
             warm = _run(model, tiny_dataset, task, seed=11)
             # Empty the memo, fill it from an overlapping slice set, then ask
@@ -152,21 +149,19 @@ class TestCachedEqualsUncached:
         assert _equal(cold, warm)
         assert _equal(cold, partial)
 
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_memo_entries_equal_the_grad_mode_computation(self, tiny_dataset, tiny_config, weights, dtype):
+    def test_memo_entries_equal_the_grad_mode_computation(self, tiny_dataset, tiny_config, weights):
         """Grad mode with a trainable tokenizer bypasses the memo: the uncached oracle."""
         tokenizer = _fresh(tiny_dataset, tiny_config, weights).tokenizer
         window = tiny_config.history_window
         slices = sorted({s for _, start, length, _ in _imputation_cases(tiny_dataset, window, seed=5)
                          for s in range(start, start + length)})
-        with compute_dtype(dtype):
-            with no_grad():
-                tokenizer.fused_representations(slices[::2])
-                cached = tokenizer.fused_representations(slices)
-                static = tokenizer.static_representations()
-            uncached = tokenizer.fused_representations(slices)
-            assert all(t.requires_grad for t in uncached.values())
-            assert np.array_equal(static.data, tokenizer.static_representations().data)
+        with no_grad():
+            tokenizer.fused_representations(slices[::2])
+            cached = tokenizer.fused_representations(slices)
+            static = tokenizer.static_representations()
+        uncached = tokenizer.fused_representations(slices)
+        assert all(t.requires_grad for t in uncached.values())
+        assert np.array_equal(static.data, tokenizer.static_representations().data)
         assert list(cached) == list(uncached) == slices
         for index in slices:
             assert cached[index].data.dtype == uncached[index].data.dtype
@@ -265,13 +260,11 @@ class TestStaleMemo:
         assert all((a is None) == (b is None) for a, b in zip(warm, cold))
         assert all(a is None or np.array_equal(a, b) for a, b in zip(warm, cold))
 
-    @pytest.mark.parametrize("switch", ["dtype", "fused"])
-    def test_compute_dtype_and_kernel_switch(self, tiny_dataset, tiny_config, weights, switch):
+    def test_kernel_switch(self, tiny_dataset, tiny_config, weights):
         model = _fresh(tiny_dataset, tiny_config, weights)
         _answers(model, tiny_dataset)
         fresh = _fresh(tiny_dataset, tiny_config, weights)
-        context = compute_dtype("float32") if switch == "dtype" else fused_kernels(False)
-        with context:
+        with fused_kernels(False):
             switched = _answers(model, tiny_dataset)
             reference = _answers(fresh, tiny_dataset)
         assert _equal(switched, reference)

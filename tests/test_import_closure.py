@@ -8,7 +8,9 @@ fail there.  This test parses every Python file under ``src/``,
 library, ``repro``, a module next to the importing file (``conftest``, the
 perfbench helpers), or a declared dependency.  Every ``repro`` module and
 name those files import must also exist, so a deleted public name that an
-example still imports fails here rather than when the example runs.
+example still imports fails here rather than when the example runs.  The
+same holds for every dotted ``repro.…`` name the docs and the verify recipe
+mention, so a deleted name does not live on in the prose.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SCANNED = ("src", "tests", "benchmarks", "perfbench", "scripts", "examples")
+DOCS = (*sorted((ROOT / "docs").glob("*.md")), ROOT / ".claude" / "skills" / "verify" / "SKILL.md")
+DOTTED_NAME = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
 
 
 def _declared_modules() -> set:
@@ -68,6 +72,22 @@ def _resolves(module: str, name) -> bool:
         return False
 
 
+def _dotted_name_resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names something: its longest importable module prefix, then attributes."""
+    parts = dotted.split(".")
+    for stop in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:stop]))
+        except ImportError:
+            continue
+        for attribute in parts[stop:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
 def _scanned_files():
     return [path for folder in SCANNED for path in sorted((ROOT / folder).rglob("*.py"))]
 
@@ -99,3 +119,18 @@ def test_every_repro_import_resolves():
         if not _resolves(module, name)
     ]
     assert not unresolved, "imports of missing repro modules or names:\n" + "\n".join(unresolved)
+
+
+def test_every_repro_name_in_the_docs_resolves():
+    mentioned = [
+        (path, line, name)
+        for path in DOCS
+        if path.is_file()
+        for line, text in enumerate(path.read_text().splitlines(), start=1)
+        for name in DOTTED_NAME.findall(text)
+    ]
+    assert mentioned
+    unresolved = [
+        f"{path.relative_to(ROOT)}:{line}: {name}" for path, line, name in mentioned if not _dotted_name_resolves(name)
+    ]
+    assert not unresolved, "docs name missing repro modules or attributes:\n" + "\n".join(unresolved)

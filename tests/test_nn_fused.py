@@ -365,19 +365,19 @@ class TestKVCache:
         cache.append(np.ones((1, 2, 1, 4)), np.ones((1, 2, 1, 4)))
         assert cache.length == 1
 
-    @pytest.mark.parametrize("path", ["array_pass", "record_attention", "composed"])
+    @pytest.mark.parametrize("path", ["array_pass", "module_path", "composed"])
     def test_cached_decode_matches_full_recompute(self, path):
         """Incremental KV-cached decoding equals re-encoding from scratch.
 
         Under ``no_grad`` the fused engine decodes through the backbone's
-        array pass; recording attention weights or the composed kernels take
-        the module path, whose attention layers append to the cache.
+        array pass; with the plan switched off, or with the composed kernels,
+        it takes the module path, whose attention layers append to the cache.
         """
-        config = GPT2Config(d_model=16, num_layers=2, num_heads=2, max_position=64, dropout=0.0, seed=0)
+        config = GPT2Config(d_model=16, num_layers=2, num_heads=2, max_position=64, seed=0)
         model = GPT2Model(config)
         model.eval()
-        for block in model.blocks:
-            block.attn.record_attention = path == "record_attention"
+        if path == "module_path":
+            model._inference_plan = lambda: None
         rng = np.random.default_rng(14)
         embeddings = rng.standard_normal((1, 10, 16))
         with no_grad(), fused_kernels(path != "composed"):
@@ -392,7 +392,7 @@ class TestKVCache:
         assert np.allclose(incremental, full, atol=1e-9)
 
     def test_cache_requires_no_grad(self):
-        config = GPT2Config(d_model=8, num_layers=1, num_heads=2, max_position=16, dropout=0.0, seed=0)
+        config = GPT2Config(d_model=8, num_layers=1, num_heads=2, max_position=16, seed=0)
         model = GPT2Model(config)
         model.eval()
         caches = model.new_caches()
@@ -408,28 +408,6 @@ class TestKVCache:
                     key_value=Tensor(np.zeros((1, 3, 8))),
                     cache=KVCache(),
                 )
-
-
-class TestRecordAttention:
-    def test_off_by_default(self):
-        attention = MultiHeadAttention(8, 2)
-        attention.eval()
-        attention(Tensor(np.random.default_rng(15).standard_normal((1, 4, 8))))
-        assert attention.last_attention is None
-
-    def test_enabled_on_both_paths(self):
-        rng = np.random.default_rng(16)
-        attention = MultiHeadAttention(8, 2, record_attention=True)
-        attention.eval()
-        x = rng.standard_normal((1, 4, 8))
-        with fused_kernels(True):
-            attention(Tensor(x))
-            fused_weights = attention.last_attention.copy()
-        with fused_kernels(False):
-            attention(Tensor(x))
-            composed_weights = attention.last_attention.copy()
-        assert np.allclose(fused_weights.sum(axis=-1), 1.0)
-        assert np.allclose(fused_weights, composed_weights, atol=VALUE_ATOL)
 
 
 class TestRolloutEquivalence:

@@ -3,7 +3,7 @@
 ``F.cross_attention_rows`` computes the tokenizer's fusion attention for
 the requested ``(slice, segment)`` rows only, each as its own one-row
 product, and ``F.lora_linear`` runs an unmerged LoRA layer as one tape
-node.  The claims pinned here, under float64 and float32:
+node.  The claims pinned here:
 
 * any subset of fusion rows (one row, duplicates, every row, rows over
   many slices) equals the full table's rows bit for bit;
@@ -24,10 +24,8 @@ from repro.nn import functional as F
 from repro.nn.attention import CrossAttentionPool
 from repro.nn.layers import Linear
 from repro.nn.lora import LoRALinear, attach_lora, mark_only_lora_trainable
-from repro.nn.tensor import Tensor, compute_dtype, fused_kernels
+from repro.nn.tensor import Tensor, fused_kernels
 from repro.nn.transformer import GPT2Config, GPT2Model
-
-DTYPES = ["float64", "float32"]
 
 
 def old_fusion(pool: CrossAttentionPool, h: np.ndarray) -> np.ndarray:
@@ -53,9 +51,9 @@ def finite_difference(f, array: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return grad
 
 
-def assert_grads_close(actual, expected, dtype: str = "float64"):
-    """Gradients equal up to summation order: rtol 1e-12 and atol 1e-12 x the global max (1e-5 in float32)."""
-    tolerance = 1e-12 if dtype == "float64" else 1e-5
+def assert_grads_close(actual, expected):
+    """Gradients equal up to summation order: rtol 1e-12 and atol 1e-12 x the global max."""
+    tolerance = 1e-12
     assert actual.keys() == expected.keys()
     scale = max(np.abs(grad).max() for grad in expected.values())
     for key, grad in expected.items():
@@ -65,7 +63,7 @@ def assert_grads_close(actual, expected, dtype: str = "float64"):
 def _pool_and_table(seed: int, slices: int = 5, segments: int = 11, dim: int = 6):
     rng = np.random.default_rng(seed)
     pool = CrossAttentionPool(dim, rng=rng)
-    pool.query_proj.bias.data = (rng.standard_normal(dim) * 0.1).astype(pool.query_proj.weight.dtype)
+    pool.query_proj.bias.data = rng.standard_normal(dim) * 0.1
     return pool, rng.standard_normal((slices, segments, dim)), rng
 
 
@@ -80,49 +78,43 @@ def _row_subsets(rng, slices: int, segments: int):
 
 
 class TestFusionRows:
-    @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("seed", range(3))
-    def test_any_row_subset_equals_the_full_table(self, dtype, seed):
-        with compute_dtype(dtype):
-            pool, h, rng = _pool_and_table(seed)
-            table = Tensor(h)
-            full = pool(table).data
-            assert full.shape == h.shape and full.dtype == np.dtype(dtype)
-            for slices, rows in _row_subsets(rng, *h.shape[:2]):
-                np.testing.assert_array_equal(pool(table, slices, rows).data, full[slices, rows])
-            # A 2-D table is one slice, its rows computed the same way.
-            np.testing.assert_array_equal(pool(Tensor(h[3])).data, full[3])
+    def test_any_row_subset_equals_the_full_table(self, seed):
+        pool, h, rng = _pool_and_table(seed)
+        table = Tensor(h)
+        full = pool(table).data
+        assert full.shape == h.shape and full.dtype == np.float64
+        for slices, rows in _row_subsets(rng, *h.shape[:2]):
+            np.testing.assert_array_equal(pool(table, slices, rows).data, full[slices, rows])
+        # A 2-D table is one slice, its rows computed the same way.
+        np.testing.assert_array_equal(pool(Tensor(h[3])).data, full[3])
 
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_matches_the_n_row_gemm_formulation(self, dtype):
-        rtol = 1e-12 if dtype == "float64" else 1e-5
-        with compute_dtype(dtype):
-            pool, h, _ = _pool_and_table(3, slices=4, segments=30, dim=12)
-            table = Tensor(h)
-            np.testing.assert_allclose(pool(table).data, old_fusion(pool, table.data), rtol=rtol, atol=rtol)
+    def test_matches_the_n_row_gemm_formulation(self):
+        rtol = 1e-12
+        pool, h, _ = _pool_and_table(3, slices=4, segments=30, dim=12)
+        table = Tensor(h)
+        np.testing.assert_allclose(pool(table).data, old_fusion(pool, table.data), rtol=rtol, atol=rtol)
 
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_fused_equals_composed(self, dtype):
-        with compute_dtype(dtype):
-            pool, h, rng = _pool_and_table(4)
-            slices, rows = list(_row_subsets(rng, *h.shape[:2]))[1]
-            weights = rng.standard_normal((len(slices), h.shape[-1]))
+    def test_fused_equals_composed(self):
+        pool, h, rng = _pool_and_table(4)
+        slices, rows = list(_row_subsets(rng, *h.shape[:2]))[1]
+        weights = rng.standard_normal((len(slices), h.shape[-1]))
 
-            def run():
-                pool.zero_grad()
-                table = Tensor(h, requires_grad=True)
-                out = pool(table, slices, rows)
-                (out * Tensor(weights)).sum().backward()
-                grads = {name: p.grad for name, p in pool.named_parameters()}
-                grads["h"] = table.grad
-                return out.data, grads
+        def run():
+            pool.zero_grad()
+            table = Tensor(h, requires_grad=True)
+            out = pool(table, slices, rows)
+            (out * Tensor(weights)).sum().backward()
+            grads = {name: p.grad for name, p in pool.named_parameters()}
+            grads["h"] = table.grad
+            return out.data, grads
 
-            fused, fused_grads = run()
-            with fused_kernels(False):
-                composed, composed_grads = run()
-        assert fused.dtype == composed.dtype == np.dtype(dtype)
+        fused, fused_grads = run()
+        with fused_kernels(False):
+            composed, composed_grads = run()
+        assert fused.dtype == composed.dtype == np.float64
         np.testing.assert_array_equal(fused, composed)
-        assert_grads_close(fused_grads, composed_grads, dtype)
+        assert_grads_close(fused_grads, composed_grads)
 
     def test_records_one_tape_node(self):
         pool, h, _ = _pool_and_table(5)
@@ -151,9 +143,8 @@ class TestFusionRows:
 def _lora_layer(seed: int, frozen_base: bool) -> LoRALinear:
     rng = np.random.default_rng(seed)
     layer = LoRALinear(Linear(7, 5, rng=rng), rank=3, alpha=6.0, rng=rng)
-    dtype = layer.lora_a.dtype
-    layer.lora_b.data = rng.standard_normal(layer.lora_b.shape).astype(dtype)
-    layer.base.bias.data = rng.standard_normal(5).astype(dtype)
+    layer.lora_b.data = rng.standard_normal(layer.lora_b.shape)
+    layer.base.bias.data = rng.standard_normal(5)
     if not frozen_base:
         layer.base.weight.requires_grad = True
         layer.base.bias.requires_grad = True
@@ -167,30 +158,28 @@ def _parameter_grads(module, x: Tensor) -> dict:
 
 
 class TestLoRANode:
-    @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("frozen_base", [True, False])
     @pytest.mark.parametrize("shape", [(6, 7), (2, 4, 7)])
-    def test_fused_equals_composed(self, dtype, frozen_base, shape):
-        with compute_dtype(dtype):
-            layer = _lora_layer(0, frozen_base)
-            rng = np.random.default_rng(1)
-            data = rng.standard_normal(shape)
-            weights = rng.standard_normal(shape[:-1] + (5,))
+    def test_fused_equals_composed(self, frozen_base, shape):
+        layer = _lora_layer(0, frozen_base)
+        rng = np.random.default_rng(1)
+        data = rng.standard_normal(shape)
+        weights = rng.standard_normal(shape[:-1] + (5,))
 
-            def run():
-                layer.zero_grad()
-                x = Tensor(data, requires_grad=True)
-                out = layer(x)
-                (out * Tensor(weights)).sum().backward()
-                return out.data, _parameter_grads(layer, x)
+        def run():
+            layer.zero_grad()
+            x = Tensor(data, requires_grad=True)
+            out = layer(x)
+            (out * Tensor(weights)).sum().backward()
+            return out.data, _parameter_grads(layer, x)
 
-            fused, fused_grads = run()
-            with fused_kernels(False):
-                composed, composed_grads = run()
-        assert fused.dtype == np.dtype(dtype)
+        fused, fused_grads = run()
+        with fused_kernels(False):
+            composed, composed_grads = run()
+        assert fused.dtype == np.float64
         np.testing.assert_array_equal(fused, composed)
         assert ("base.weight" in fused_grads) == (not frozen_base)
-        assert_grads_close(fused_grads, composed_grads, dtype)
+        assert_grads_close(fused_grads, composed_grads)
 
     def test_records_one_tape_node(self):
         layer = _lora_layer(2, frozen_base=True)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.nn import (
-    Dropout,
     Embedding,
     GAT,
     GELU,
@@ -68,7 +67,7 @@ class TestEmbedding:
         assert np.allclose(emb.weight.grad[0], 0.0)
 
 
-class TestNormalisationAndDropout:
+class TestNormalisation:
     def test_layernorm_normalises_last_axis(self):
         layer = LayerNorm(8)
         out = layer(Tensor(np.random.default_rng(0).standard_normal((4, 8)) * 10 + 3)).data
@@ -81,16 +80,6 @@ class TestNormalisationAndDropout:
         layer.bias.data = np.full(4, 1.0)
         out = layer(Tensor(np.random.default_rng(1).standard_normal((3, 4)))).data
         assert np.allclose(out.mean(axis=-1), 1.0, atol=1e-6)
-
-    def test_dropout_identity_in_eval(self):
-        layer = Dropout(0.9)
-        layer.eval()
-        x = Tensor(np.ones((3, 3)))
-        assert np.allclose(layer(x).data, 1.0)
-
-    def test_dropout_invalid_probability(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
 
 
 class TestAttention:
@@ -125,12 +114,6 @@ class TestAttention:
         x_mod[0, 3] += 5.0  # padded position: should not matter
         out_b = attn(Tensor(x_mod), padding_mask=mask).data
         assert np.allclose(out_a[0, :2], out_b[0, :2], atol=1e-9)
-
-    def test_attention_weights_normalised(self):
-        attn = MultiHeadAttention(8, 2, record_attention=True)
-        attn.eval()
-        attn(Tensor(np.random.default_rng(3).standard_normal((2, 5, 8))))
-        assert np.allclose(attn.last_attention.sum(axis=-1), 1.0)
 
     def test_cross_attention_different_lengths(self):
         attn = MultiHeadAttention(8, 2)
