@@ -6,8 +6,8 @@ and computes only the slices it has not seen.  The claims pinned here:
 
 * cached == uncached bit-for-bit for the batched traffic prediction,
   traffic imputation and KV-cached rollout entry points, with fused
-  kernels on and off, on seeded slice sets that include slice 0, the zero-padded history window and the
-  last slice;
+  kernels on and off, on seeded slice sets that include slice 0, the
+  zero-padded history window and the last slice;
 * a stale memo is never served: after an optimiser step, a state-dict
   load, a new traffic tensor, ``unfreeze()`` under grad mode or a kernel
   switch, answers equal a freshly built model's;

@@ -169,13 +169,12 @@ class TestFallbacks:
         rng = np.random.default_rng(8)
         model = _model(rng, 1.0, num_heads=2)
         model.train()
-        passes = []
+        block_pass, passes = transformer._block_pass, []
 
         def counted(*args):
-            passes.append(args[0])
+            passes.append(args)
             return block_pass(*args)
 
-        block_pass = transformer._block_pass
         monkeypatch.setattr(transformer, "_block_pass", counted)
         x = rng.standard_normal((2, 6, D_MODEL))
         planned = _forward(model, x)
