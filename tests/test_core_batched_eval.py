@@ -4,7 +4,9 @@ The load-bearing claims of the batch entry points
 (``recover_trajectories_batch`` / ``predict_traffic_states_batch`` /
 ``impute_traffic_states_batch``):
 
-* batched answers equal the serial per-case answers **bit-for-bit**;
+* batched answers equal the serial per-case answers **bit-for-bit**, with
+  the fused kernels (the array pass) and with the composed ones (the
+  module path);
 * a masked position before the first (or after the last) kept sample no
   longer crashes constrained recovery — it falls back to the open-sided
   candidate set anchored on the nearest kept neighbour;
@@ -20,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.nn.tensor import fused_kernels
 from repro.serving import (
     FaultPlan,
     NextHopRequest,
@@ -52,40 +55,46 @@ def _kept_lists(trajectories, rng_seed=3):
 
 
 class TestBatchedEqualsSerial:
+    @pytest.mark.parametrize("fused", [True, False])
     @pytest.mark.parametrize("constrain", [True, False])
-    def test_recovery_batch_matches_serial(self, trained_model, trajectories, constrain):
+    def test_recovery_batch_matches_serial(self, trained_model, trajectories, constrain, fused):
         kept_lists = _kept_lists(trajectories)
-        serial = [
-            trained_model.recover_trajectory(t, k, constrain_to_network=constrain)
-            for t, k in zip(trajectories, kept_lists)
-        ]
-        batched = trained_model.recover_trajectories_batch(
-            trajectories, kept_lists, constrain_to_network=constrain
-        )
+        with fused_kernels(fused):
+            serial = [
+                trained_model.recover_trajectory(t, k, constrain_to_network=constrain)
+                for t, k in zip(trajectories, kept_lists)
+            ]
+            batched = trained_model.recover_trajectories_batch(
+                trajectories, kept_lists, constrain_to_network=constrain
+            )
         assert len(batched) == len(serial)
         for serial_row, batched_row in zip(serial, batched):
             np.testing.assert_array_equal(batched_row, serial_row)
 
-    def test_prediction_batch_matches_serial(self, trained_model, tiny_dataset):
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_prediction_batch_matches_serial(self, trained_model, tiny_dataset, fused):
         traffic = tiny_dataset.traffic_states
         cases = [
             (i % traffic.num_segments, (2 * i) % max(traffic.num_slices - 8, 1), 4, 1 + i % 3)
             for i in range(5)
         ]
-        serial = [trained_model.predict_traffic_state(*case) for case in cases]
-        batched = trained_model.predict_traffic_states_batch(cases)
+        with fused_kernels(fused):
+            serial = [trained_model.predict_traffic_state(*case) for case in cases]
+            batched = trained_model.predict_traffic_states_batch(cases)
         assert len(batched) == len(serial)
         for serial_row, batched_row in zip(serial, batched):
             np.testing.assert_array_equal(batched_row, serial_row)
 
-    def test_imputation_batch_matches_serial(self, trained_model, tiny_dataset):
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_imputation_batch_matches_serial(self, trained_model, tiny_dataset, fused):
         traffic = tiny_dataset.traffic_states
         cases = [
             (i % traffic.num_segments, (3 * i) % max(traffic.num_slices - 6, 1), 6, (0, 2 + i % 3))
             for i in range(4)
         ]
-        serial = [trained_model.impute_traffic_state(*case) for case in cases]
-        batched = trained_model.impute_traffic_states_batch(cases)
+        with fused_kernels(fused):
+            serial = [trained_model.impute_traffic_state(*case) for case in cases]
+            batched = trained_model.impute_traffic_states_batch(cases)
         assert len(batched) == len(serial)
         for serial_row, batched_row in zip(serial, batched):
             np.testing.assert_array_equal(batched_row, serial_row)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -58,13 +59,25 @@ class TestRecordedConfig:
     def _write(self, model, path, config_record):
         return save_state_dict(model, path, metadata={"bigcity_config": json.dumps(config_record)})
 
-    def test_unknown_field_names_path_and_field(self, trained_model, tiny_dataset, tmp_path):
-        record = {**dataclasses.asdict(trained_model.config), "dropout": 0.0}
+    #: Fields that checkpoints written before their removal still record.
+    DROPPED_FIELDS = {"dropout": 0.0, "lambda_gen": 1.0, "lora_only": True, "pretrain_full_backbone": True}
+
+    @pytest.mark.parametrize("field", sorted(DROPPED_FIELDS))
+    def test_unknown_field_names_path_and_field(self, trained_model, tiny_dataset, tmp_path, field):
+        record = {**dataclasses.asdict(trained_model.config), field: self.DROPPED_FIELDS[field]}
         path = self._write(trained_model, tmp_path / "old.npz", record)
-        with pytest.raises(ValueError, match=r"old\.npz.*\['dropout'\]"):
+        with pytest.raises(ValueError, match=rf"old\.npz.*\['{field}'\]"):
             load_bigcity(path, tiny_dataset)
 
-    def test_config_that_is_not_an_object(self, trained_model, tiny_dataset, tmp_path):
-        path = self._write(trained_model, tmp_path / "list.npz", [1, 2, 3])
+    def test_every_unknown_field_is_named(self, trained_model, tiny_dataset, tmp_path):
+        record = {**dataclasses.asdict(trained_model.config), **self.DROPPED_FIELDS}
+        path = self._write(trained_model, tmp_path / "old.npz", record)
+        names = ", ".join(repr(field) for field in sorted(self.DROPPED_FIELDS))
+        with pytest.raises(ValueError, match=re.escape(f"[{names}]")):
+            load_bigcity(path, tiny_dataset)
+
+    @pytest.mark.parametrize("record", [[1, 2, 3], "config", 7, None], ids=["list", "string", "number", "null"])
+    def test_config_that_is_not_an_object(self, trained_model, tiny_dataset, tmp_path, record):
+        path = self._write(trained_model, tmp_path / "list.npz", record)
         with pytest.raises(ValueError, match=r"list\.npz.*JSON object"):
             load_bigcity(path, tiny_dataset)

@@ -11,7 +11,7 @@ from repro.core.heads import GeneralTaskHeads, LabelSpace
 from repro.core.model import BIGCity
 from repro.core.prompts import CLAS, TaskType
 from repro.nn.lora import LoRALinear
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor, fused_kernels, no_grad
 
 
 class TestConfig:
@@ -352,6 +352,20 @@ class TestMergedPromptAssembly:
         assert {"mask_token", "clas_token", "reg_token"} <= grads["merged"].keys()
         assert any(key.startswith("tokenizer.static_gat") for key in grads["merged"])
         assert use_prompts == ("backbone.llm.token_embedding.weight" in grads["merged"])
+
+    @pytest.mark.parametrize("fused", [True, False])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_no_grad_forward_equals_oracle(self, tiny_dataset, seed, fused):
+        """The serving path: the memoised tokenizer under ``no_grad``, with either kernel set."""
+        rng = np.random.default_rng(100 + seed)
+        model = self._model(tiny_dataset, seed, True)
+        prompts = _generated_prompts(model.prompt_builder, model, tiny_dataset, rng)
+        with fused_kernels(fused), no_grad():
+            merged, merged_mask, _ = self._assemble(model, prompts, _merged_prompt_batch)
+            stacked, stacked_mask, _ = self._assemble(model, prompts, _stacked_prompt_batch)
+        assert not merged.requires_grad
+        np.testing.assert_array_equal(merged.data, stacked.data)
+        np.testing.assert_array_equal(merged_mask, stacked_mask)
 
     def test_max_position_edge(self, tiny_dataset):
         rng = np.random.default_rng(7)

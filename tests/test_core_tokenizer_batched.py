@@ -11,13 +11,13 @@ tokens.  The claims pinned here, on seeded generated inputs:
 * tokens equal the reference bit for bit on slice sets that cover slices
   ``0 .. history_window`` (the zero-padded history) and the last slice,
   with a ``traffic_override``, and with the memo filled against uncached,
-  for every encoder combination;
+  for every encoder combination, with fused kernels on and off;
 * stacked partial tokens equal one-row passes bit for bit (unknown
-  segment, unknown timestamp, duplicate units);
+  segment, unknown timestamp, duplicate units), with either kernel set;
 * gradients equal the reference's up to summation order;
 * a grad-mode forward fuses each distinct row it reads once, and no other;
 * a stacked ``(S, N, F)`` input through ``GAT`` and ``CrossAttentionPool``
-  equals the per-slice 2-D outputs bit for bit.
+  equals the per-slice 2-D outputs bit for bit, with either kernel set.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.eval.perfbench import reference_tokenizer
 from repro.nn import functional as F
 from repro.nn.attention import CrossAttentionPool
 from repro.nn.gat import GAT
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor, fused_kernels, no_grad
 
 #: Encoder combinations: the default, no traffic (static only, one fused
 #: row serves every slice), no static encoder and no fusion.
@@ -115,60 +115,68 @@ class TestGeneratedInputs:
 
 
 class TestBatchedEqualsPerSlice:
+    @pytest.mark.parametrize("fused", [True, False])
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("seed", range(2))
-    def test_tokens_bit_identical(self, tiny_dataset, tiny_dataset_no_traffic, variant, seed):
+    def test_tokens_bit_identical(self, tiny_dataset, tiny_dataset_no_traffic, variant, seed, fused):
         rng = np.random.default_rng(seed)
         model, dataset = _model(tiny_dataset, tiny_dataset_no_traffic, variant, seed)
         sequences, masks = _sequences(model, dataset, rng)
         units = _units(tiny_dataset, rng)
-        batched = _encode(model.tokenizer, sequences, masks, units)
-        with reference_tokenizer():
-            reference = _encode(model.tokenizer, sequences, masks, units)
+        with fused_kernels(fused):
+            batched = _encode(model.tokenizer, sequences, masks, units)
+            with reference_tokenizer():
+                reference = _encode(model.tokenizer, sequences, masks, units)
         _assert_same_tokens(batched, reference)
 
-    def test_traffic_override(self, tiny_dataset):
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_traffic_override(self, tiny_dataset, fused):
         rng = np.random.default_rng(3)
         model = BIGCity.from_dataset(tiny_dataset, config=BIGCityConfig.tiny(seed=3))
         sequences, masks = _sequences(model, tiny_dataset, rng)
         units = _units(tiny_dataset, rng)
         values = tiny_dataset.traffic_states.values
         override = values + rng.standard_normal(values.shape) * values.std()
-        plain = _encode(model.tokenizer, sequences, masks, units)
-        batched = _encode(model.tokenizer, sequences, masks, units, traffic_override=override)
-        with reference_tokenizer():
-            reference = _encode(model.tokenizer, sequences, masks, units, traffic_override=override)
+        with fused_kernels(fused):
+            plain = _encode(model.tokenizer, sequences, masks, units)
+            batched = _encode(model.tokenizer, sequences, masks, units, traffic_override=override)
+            with reference_tokenizer():
+                reference = _encode(model.tokenizer, sequences, masks, units, traffic_override=override)
         _assert_same_tokens(batched, reference)
         assert not np.array_equal(plain[0][-1].data, batched[0][-1].data)
 
+    @pytest.mark.parametrize("fused", [True, False])
     @pytest.mark.parametrize("variant", ["default", "no_traffic"])
-    def test_memo_filled_equals_uncached(self, tiny_dataset, tiny_dataset_no_traffic, variant):
+    def test_memo_filled_equals_uncached(self, tiny_dataset, tiny_dataset_no_traffic, variant, fused):
         rng = np.random.default_rng(4)
         model, dataset = _model(tiny_dataset, tiny_dataset_no_traffic, variant, 4)
         sequences, masks = _sequences(model, dataset, rng)
         units = _units(tiny_dataset, rng)
-        # Grad mode with a trainable tokenizer bypasses the memo.
-        with reference_tokenizer():
-            uncached = _encode(model.tokenizer, sequences, masks, units)
-        with no_grad():
-            # Fill part of the memo, then ask for every slice: part hits,
-            # the rest is computed into the memo, then all of it hits.
-            _encode(model.tokenizer, sequences[::2], masks[::2], units)
-            partly = _encode(model.tokenizer, sequences, masks, units)
-            warm = _encode(model.tokenizer, sequences, masks, units)
+        with fused_kernels(fused):
+            # Grad mode with a trainable tokenizer bypasses the memo.
+            with reference_tokenizer():
+                uncached = _encode(model.tokenizer, sequences, masks, units)
+            with no_grad():
+                # Fill part of the memo, then ask for every slice: part hits,
+                # the rest is computed into the memo, then all of it hits.
+                _encode(model.tokenizer, sequences[::2], masks[::2], units)
+                partly = _encode(model.tokenizer, sequences, masks, units)
+                warm = _encode(model.tokenizer, sequences, masks, units)
         _assert_same_tokens(partly, uncached)
         _assert_same_tokens(warm, uncached)
 
-    def test_stacked_partials_equal_one_row_passes(self, tiny_dataset):
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_stacked_partials_equal_one_row_passes(self, tiny_dataset, fused):
         model = BIGCity.from_dataset(tiny_dataset, config=BIGCityConfig.tiny(seed=5))
         tokenizer = model.tokenizer
         units = _units(tiny_dataset, np.random.default_rng(5))
-        static = tokenizer.static_representations()
-        tokens, rows = tokenizer.encode_partials(units, static_cache=static)
-        for unit, row in zip(units, rows):
-            single = tokenizer.encode_partial(*unit, static_cache=static)
-            assert single.shape == (tokenizer.d_model,)
-            np.testing.assert_array_equal(tokens.data[row], single.data)
+        with fused_kernels(fused):
+            static = tokenizer.static_representations()
+            tokens, rows = tokenizer.encode_partials(units, static_cache=static)
+            for unit, row in zip(units, rows):
+                single = tokenizer.encode_partial(*unit, static_cache=static)
+                assert single.shape == (tokenizer.d_model,)
+                np.testing.assert_array_equal(tokens.data[row], single.data)
         assert tokens.shape == (len(set(units)), tokenizer.d_model)
         assert [units.index(unit) for unit in units] == [list(rows).index(row) for row in rows]
 
@@ -231,12 +239,14 @@ class TestBatchedEqualsPerSlice:
 
 
 class TestStackedLayers:
-    def test_gat_and_fusion_take_leading_slice_axes(self):
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_gat_and_fusion_take_leading_slice_axes(self, fused):
         rng = np.random.default_rng(8)
         adjacency = rng.random((9, 9)) < 0.3
         gat = GAT(5, 6, 4, num_layers=2, num_heads=2, rng=rng)
         pool = CrossAttentionPool(4, rng=rng)
         x = rng.standard_normal((6, 9, 5))
-        stacked = pool(gat(Tensor(x), adjacency)).data
-        for index in range(x.shape[0]):
-            np.testing.assert_array_equal(stacked[index], pool(gat(Tensor(x[index]), adjacency)).data)
+        with fused_kernels(fused):
+            stacked = pool(gat(Tensor(x), adjacency)).data
+            for index in range(x.shape[0]):
+                np.testing.assert_array_equal(stacked[index], pool(gat(Tensor(x[index]), adjacency)).data)

@@ -149,19 +149,21 @@ class TestCachedEqualsUncached:
         assert _equal(cold, warm)
         assert _equal(cold, partial)
 
-    def test_memo_entries_equal_the_grad_mode_computation(self, tiny_dataset, tiny_config, weights):
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_memo_entries_equal_the_grad_mode_computation(self, tiny_dataset, tiny_config, weights, fused):
         """Grad mode with a trainable tokenizer bypasses the memo: the uncached oracle."""
         tokenizer = _fresh(tiny_dataset, tiny_config, weights).tokenizer
         window = tiny_config.history_window
         slices = sorted({s for _, start, length, _ in _imputation_cases(tiny_dataset, window, seed=5)
                          for s in range(start, start + length)})
-        with no_grad():
-            tokenizer.fused_representations(slices[::2])
-            cached = tokenizer.fused_representations(slices)
-            static = tokenizer.static_representations()
-        uncached = tokenizer.fused_representations(slices)
-        assert all(t.requires_grad for t in uncached.values())
-        assert np.array_equal(static.data, tokenizer.static_representations().data)
+        with fused_kernels(fused):
+            with no_grad():
+                tokenizer.fused_representations(slices[::2])
+                cached = tokenizer.fused_representations(slices)
+                static = tokenizer.static_representations()
+            uncached = tokenizer.fused_representations(slices)
+            assert all(t.requires_grad for t in uncached.values())
+            assert np.array_equal(static.data, tokenizer.static_representations().data)
         assert list(cached) == list(uncached) == slices
         for index in slices:
             assert cached[index].data.dtype == uncached[index].data.dtype

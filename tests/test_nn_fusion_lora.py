@@ -6,9 +6,10 @@ product, and ``F.lora_linear`` runs an unmerged LoRA layer as one tape
 node.  The claims pinned here:
 
 * any subset of fusion rows (one row, duplicates, every row, rows over
-  many slices) equals the full table's rows bit for bit;
-* the per-row fusion matches the N-row-GEMM formulation it replaced up to
-  rounding;
+  many slices) equals the full table's rows bit for bit, with fused kernels
+  on and off;
+* the per-row fusion, on either kernel set, matches the N-row-GEMM
+  formulation it replaced up to rounding;
 * both fused nodes equal their composed twins bit for bit, with gradients
   equal up to summation order and matching central finite differences;
 * ops that hand a fresh gradient buffer to their parent give the same
@@ -78,22 +79,27 @@ def _row_subsets(rng, slices: int, segments: int):
 
 
 class TestFusionRows:
+    @pytest.mark.parametrize("fused", [True, False])
     @pytest.mark.parametrize("seed", range(3))
-    def test_any_row_subset_equals_the_full_table(self, seed):
+    def test_any_row_subset_equals_the_full_table(self, seed, fused):
         pool, h, rng = _pool_and_table(seed)
         table = Tensor(h)
-        full = pool(table).data
-        assert full.shape == h.shape and full.dtype == np.float64
-        for slices, rows in _row_subsets(rng, *h.shape[:2]):
-            np.testing.assert_array_equal(pool(table, slices, rows).data, full[slices, rows])
-        # A 2-D table is one slice, its rows computed the same way.
-        np.testing.assert_array_equal(pool(Tensor(h[3])).data, full[3])
+        with fused_kernels(fused):
+            full = pool(table).data
+            assert full.shape == h.shape and full.dtype == np.float64
+            for slices, rows in _row_subsets(rng, *h.shape[:2]):
+                np.testing.assert_array_equal(pool(table, slices, rows).data, full[slices, rows])
+            # A 2-D table is one slice, its rows computed the same way.
+            np.testing.assert_array_equal(pool(Tensor(h[3])).data, full[3])
 
-    def test_matches_the_n_row_gemm_formulation(self):
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_matches_the_n_row_gemm_formulation(self, fused):
         rtol = 1e-12
         pool, h, _ = _pool_and_table(3, slices=4, segments=30, dim=12)
         table = Tensor(h)
-        np.testing.assert_allclose(pool(table).data, old_fusion(pool, table.data), rtol=rtol, atol=rtol)
+        with fused_kernels(fused):
+            fusion = pool(table).data
+        np.testing.assert_allclose(fusion, old_fusion(pool, table.data), rtol=rtol, atol=rtol)
 
     def test_fused_equals_composed(self):
         pool, h, rng = _pool_and_table(4)

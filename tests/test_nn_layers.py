@@ -22,7 +22,8 @@ from repro.nn import (
     Adam,
 )
 from repro.nn.gat import GraphAttentionLayer, normalized_adjacency, random_walk_matrix
-from repro.nn.tensor import Tensor
+from repro.nn import functional as F
+from repro.nn.tensor import Tensor, fused_kernels
 
 
 class TestLinearAndMLP:
@@ -114,6 +115,26 @@ class TestAttention:
         x_mod[0, 3] += 5.0  # padded position: should not matter
         out_b = attn(Tensor(x_mod), padding_mask=mask).data
         assert np.allclose(out_a[0, :2], out_b[0, :2], atol=1e-9)
+
+    def test_attention_weights_normalised(self):
+        rng = np.random.default_rng(3)
+        q, k, v = (rng.standard_normal((2, 2, 5, 4)) for _ in range(3))
+        mask = np.zeros((2, 1, 1, 5), dtype=bool)
+        mask[1, ..., 3:] = True  # the second row's last two keys are padding
+        _, _, _, weights = F.sdpa_forward(q, k, v, mask)
+        assert np.allclose(weights.sum(axis=-1), 1.0)
+        assert np.all(weights[1, ..., 3:] == 0.0) and np.all(weights[0] > 0.0)
+
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_graph_attention_weights_normalised(self, fused):
+        rng = np.random.default_rng(5)
+        src, dst = rng.standard_normal((2, 3, 6, 1))
+        blocked = rng.random((6, 6)) < 0.4
+        np.fill_diagonal(blocked, False)
+        with fused_kernels(fused):
+            weights = F.graph_attention(Tensor(src), Tensor(dst), blocked, 0.2).data
+        assert np.allclose(weights.sum(axis=-1), 1.0)
+        assert np.all(weights[:, blocked] == 0.0) and np.all(weights[:, ~blocked] > 0.0)
 
     def test_cross_attention_different_lengths(self):
         attn = MultiHeadAttention(8, 2)

@@ -139,16 +139,18 @@ class TestInferencePath:
         assert fast.dtype == taped.dtype == np.float64
         np.testing.assert_array_equal(fast.data, taped.data)
 
-    def test_merged_matches_unmerged_within_tolerance(self):
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_merged_matches_unmerged_within_tolerance(self, fused):
         x = np.random.default_rng(6).standard_normal((3, 9, 32))
         model = _tiny_gpt2()
         attach_lora(model, rank=4, rng=np.random.default_rng(1))
-        with no_grad():
-            base_only = model(Tensor(x)).data
-        _randomise_lora_b(model, seed=2)
-        unmerged = model(Tensor(x)).data  # grad mode: the unmerged tape path
-        with no_grad():
-            merged = model(Tensor(x)).data
+        with fused_kernels(fused):
+            with no_grad():
+                base_only = model(Tensor(x)).data
+            _randomise_lora_b(model, seed=2)
+            unmerged = model(Tensor(x)).data  # grad mode: the unmerged tape path
+            with no_grad():
+                merged = model(Tensor(x)).data
         assert merged.dtype == unmerged.dtype == np.float64
         scale = np.abs(unmerged).max()
         assert np.abs(unmerged - base_only).max() > 1e-2 * scale  # the adapters matter

@@ -420,6 +420,17 @@ def _seeded_inputs(seed: int) -> dict:
         "mask": rng.random((2, 3, 4)) < 0.3,
         "ints": rng.integers(0, 100, size=(3, 4)).astype(np.int8),
         "targets": rng.integers(0, 4, size=6),
+        "square": rng.standard_normal((4, 4)),
+        "lora_a": rng.standard_normal((2, 4)),
+        "lora_b": rng.standard_normal((5, 2)),
+    }
+
+
+def _inputs_in(dtype: str, seed: int) -> dict:
+    """``_seeded_inputs`` with every float64 array cast to ``dtype``."""
+    return {
+        key: value.astype(dtype) if value.dtype == np.float64 else value
+        for key, value in _seeded_inputs(seed).items()
     }
 
 
@@ -476,6 +487,43 @@ _OPS = {
     ),
     "gather_rows": lambda leaf, a: F.gather_rows(leaf(a["x"]), [0, 1, 1], [2, 0, 1]),
     "cross_entropy": lambda leaf, a: F.fused_cross_entropy(leaf(a["x"]).reshape(6, 4), a["targets"]),
+    "cross_entropy_sum": lambda leaf, a: F.fused_cross_entropy(
+        leaf(a["x"]).reshape(6, 4), a["targets"], reduction="sum"
+    ),
+    "cross_entropy_rows": lambda leaf, a: F.fused_cross_entropy(
+        leaf(a["x"]).reshape(6, 4), a["targets"], reduction="none"
+    ),
+    "broadcast_to": lambda leaf, a: leaf(a["v"]).broadcast_to((2, 3, 4)),
+    # A padding-style mask that never hides a row's own key: the general
+    # (not block-causal) attention kernel.
+    "attention_masked": lambda leaf, a: F.scaled_dot_product_attention(
+        leaf(a["x"][:, None]),
+        leaf(a["pos"][:, None]),
+        leaf(a["y"][None, None]),
+        mask=a["mask"][:, None, :, :3] & ~np.eye(3, dtype=bool),
+    ),
+    "gelu_composed": lambda leaf, a: F.gelu_composed(leaf(a["x"])),
+    "layer_norm_composed": lambda leaf, a: F.layer_norm_composed(leaf(a["x"]), leaf(a["gamma"]), leaf(a["v"])),
+    "lora_linear": lambda leaf, a: F.lora_linear(
+        leaf(a["x"]), leaf(a["w"].T), leaf(a["bias"]), leaf(a["lora_a"]), leaf(a["lora_b"]), 1.5
+    ),
+    "lora_linear_composed": lambda leaf, a: F.lora_linear_composed(
+        leaf(a["x"]), leaf(a["w"].T), leaf(a["bias"]), leaf(a["lora_a"]), leaf(a["lora_b"]), 1.5
+    ),
+    "cross_attention_rows": lambda leaf, a: F.cross_attention_rows(
+        leaf(a["x"]), leaf(a["square"]), leaf(a["v"]), np.array([0, 1, 1, 0]), np.array([2, 0, 2, 1]), 0.5
+    ),
+    "cross_attention_rows_composed": lambda leaf, a: F.cross_attention_rows_composed(
+        leaf(a["x"]), leaf(a["square"]), leaf(a["v"]), np.array([0, 1, 1, 0]), np.array([2, 0, 2, 1]), 0.5
+    ),
+    "graph_attention": lambda leaf, a: F.graph_attention(
+        leaf(a["x"][..., :1]), leaf(a["pos"][..., 1:2]), a["mask"][0, :, :3] & ~np.eye(3, dtype=bool), 0.2
+    ),
+    "graph_attention_composed": lambda leaf, a: F.graph_attention_composed(
+        leaf(a["x"][..., :1]), leaf(a["pos"][..., 1:2]), a["mask"][0, :, :3] & ~np.eye(3, dtype=bool), 0.2
+    ),
+    # Overlapping pieces, a shared source and a broadcast 1-D source.
+    "scatter_rows": lambda leaf, a: _scatter(leaf(a["y"]), leaf(a["v"]), a["x"].dtype),
     # Dtype rules: float64 data meeting a float32 tensor (NumPy promotes it
     # to float64), a float16 input, and an op whose NumPy result is float16
     # (sqrt of int8), promoted to float32.
@@ -487,22 +535,32 @@ _OPS = {
 }
 
 
+def _scatter(rows: Tensor, vector: Tensor, dtype) -> Tensor:
+    pieces = [(rows, 0, [0, 2], [1, 0]), (rows, 1, slice(0, 2), slice(1, 3)), (vector, 1, [1, 2], None)]
+    return F.scatter_rows(np.zeros((2, 3, 4), dtype=dtype), pieces)
+
+
 class TestNoGradFastPath:
+    # The engine is dtype-generic: float32 data stays float32 through every
+    # op (NumPy's promotion rules), so the fast path must match the tape on
+    # float32 inputs as well as on float64 ones.
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("name", sorted(_OPS))
-    def test_no_grad_output_equals_grad_mode_bit_for_bit(self, name):
+    def test_no_grad_output_equals_grad_mode_bit_for_bit(self, name, dtype):
         op = _OPS[name]
-        taped = op(lambda array: Tensor(array, requires_grad=True), _seeded_inputs(7))
+        taped = op(lambda array: Tensor(array, requires_grad=True), _inputs_in(dtype, 7))
         with no_grad():
-            fast = op(lambda array: Tensor(array, requires_grad=True), _seeded_inputs(7))
+            fast = op(lambda array: Tensor(array, requires_grad=True), _inputs_in(dtype, 7))
         assert type(fast.data) is np.ndarray
         assert fast.dtype == taped.dtype and fast.shape == taped.shape
         np.testing.assert_array_equal(fast.data, taped.data)
         assert not fast.requires_grad and fast._parents == () and fast._backward is None
         assert taped.requires_grad and taped._parents
 
-    def test_wrap_holds_what_the_constructor_holds(self):
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_wrap_holds_what_the_constructor_holds(self, dtype):
         rng = np.random.default_rng(3)
-        base = rng.standard_normal((3, 5))
+        base = rng.standard_normal((3, 5)).astype(dtype)
         outputs = [
             base,
             base.astype(np.float32),
