@@ -115,7 +115,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     elapsed = time.time() - started
     for stage, stage_logs in logs.items():
         for log in stage_logs:
-            _print(f"[{stage}] epoch {log.epoch}: loss={log.loss:.4f}")
+            _print(
+                f"[{stage}] epoch {log.epoch}: loss={log.loss:.4f} "
+                f"grad_norm mean={log.grad_norm_mean:.3f} max={log.grad_norm_max:.3f}"
+            )
     summary = model.parameter_summary()
     _print(f"trained BIGCity on {args.dataset} in {elapsed:.1f}s "
            f"({summary['total']} parameters, {summary['trainable']} trainable)")

@@ -57,6 +57,33 @@ def _row_index(rows: List[int]):
     return np.asarray(rows)
 
 
+class _FamilyRows:
+    """The ``[CLAS]`` or ``[REG]`` rows one loss family reads from a batch.
+
+    ``rows`` index the forward's shared task rows; ``spans`` hold each
+    contributing prompt's ``(start, stop)`` range of them, in prompt order.
+    """
+
+    def __init__(self) -> None:
+        self.rows: List[int] = []
+        self.targets: List = []
+        self.spans: List[Tuple[int, int]] = []
+
+    def add(self, offset: int, indices: List[int], targets) -> None:
+        start = len(self.rows)
+        self.rows.extend(offset + i for i in indices)
+        self.targets.extend(targets)
+        self.spans.append((start, len(self.rows)))
+
+    def index(self) -> np.ndarray:
+        """A ``(k, 1)`` index: gathering with it gives a ``(k, 1, d_model)`` stack."""
+        return np.asarray(self.rows, dtype=np.int64)[:, None]
+
+    def stacked_targets(self) -> np.ndarray:
+        """The targets as a ``(k, 1, width)`` array aligned with the head's output."""
+        return np.stack(self.targets)[:, None, :]
+
+
 @dataclass
 class PromptOutput:
     """Outputs of the backbone for a single prompt."""
@@ -66,6 +93,11 @@ class PromptOutput:
     task_outputs: Tensor
     #: Mean-pooled hidden state over the data (ST-token) positions, ``(d_model,)``.
     pooled: Tensor
+    #: The task rows of every prompt of the forward, ``(R, d_model)``, shared
+    #: by its outputs (``None`` when no prompt has a placeholder), and the
+    #: row of this prompt's first placeholder in it.
+    batch_task_rows: Optional[Tensor] = None
+    task_row_offset: int = 0
 
 
 class BIGCity(Module):
@@ -328,7 +360,15 @@ class BIGCity(Module):
                 pooled = all_data[data_start:data_stop].mean(axis=0)
             else:
                 pooled = Tensor(np.zeros(d_model))
-            outputs.append(PromptOutput(prompt=prompt, task_outputs=task_outputs, pooled=pooled))
+            outputs.append(
+                PromptOutput(
+                    prompt=prompt,
+                    task_outputs=task_outputs,
+                    pooled=pooled,
+                    batch_task_rows=all_task,
+                    task_row_offset=task_start,
+                )
+            )
         return outputs
 
     # ------------------------------------------------------------------
@@ -337,77 +377,77 @@ class BIGCity(Module):
     def prompt_loss(self, prompts: Sequence[Prompt], traffic_override: Optional[np.ndarray] = None) -> Tuple[Tensor, Dict[str, float]]:
         """Multi-task loss over a batch of prompts (Eq. 16 for stage 1, Eq. 17 for stage 2).
 
-        Returns the scalar loss tensor plus a breakdown dictionary with float
-        values (for logging).
+        Each prompt contributes the mean cross-entropy of its ``[CLAS]``
+        rows plus the mean squared errors of its ``[REG]`` rows' regression
+        and timestamp predictions, weighted by ``lambda_reg`` and
+        ``lambda_tim``; a term whose targets are missing, empty or not one
+        per placeholder is left out.  The loss is the mean over prompts.
+
+        Every family runs once per batch: all ``[CLAS]`` rows are gathered
+        into one ``(k, 1, d_model)`` stack for one classifier and one
+        cross-entropy call, all ``[REG]`` rows likewise for the regression
+        and timestamp heads, and the per-prompt means become one weighted
+        reduction.  Returns the scalar loss tensor plus a breakdown
+        dictionary with float values (for logging): the per-prompt term
+        means summed per family, the number of terms and the total.
         """
         outputs = self.forward_prompts(prompts, traffic_override=traffic_override)
-        total: Optional[Tensor] = None
-        breakdown = {"clas": 0.0, "reg": 0.0, "tim": 0.0, "count": 0.0}
-
-        def accumulate(term: Optional[Tensor], weight: float, key: str) -> None:
-            nonlocal total
-            if term is None:
-                return
-            weighted = term * weight
-            total = weighted if total is None else total + weighted
-            breakdown[key] += float(term.item())
-            breakdown["count"] += 1.0
-
+        clas, reg, tim = _FamilyRows(), _FamilyRows(), _FamilyRows()
         for output in outputs:
-            prompt = output.prompt
-            clas_term = self._classification_loss(prompt, output)
-            reg_term = self._regression_loss(prompt, output)
-            tim_term = self._timestamp_loss(prompt, output)
-            accumulate(clas_term, 1.0, "clas")
-            accumulate(reg_term, self.config.lambda_reg, "reg")
-            accumulate(tim_term, self.config.lambda_tim, "tim")
+            prompt, offset = output.prompt, output.task_row_offset
+            clas_indices = [i for i, kind in enumerate(prompt.placeholders) if kind == CLAS]
+            reg_indices = [i for i, kind in enumerate(prompt.placeholders) if kind == REG]
+            targets = [t for t in prompt.classification_targets if t >= 0]
+            if clas_indices and len(targets) == len(clas_indices):
+                clas.add(offset, clas_indices, targets)
+            values = [np.asarray(t, dtype=np.float64) for t in prompt.regression_targets]
+            if reg_indices and len(values) == len(reg_indices) and all(t.size for t in values):
+                normalised = np.stack([self.normalise_traffic(t) for t in values])
+                reg.add(offset, reg_indices, np.broadcast_to(normalised, (len(values), self.heads.regression_dim)))
+            if reg_indices and len(prompt.timestamp_targets) == len(reg_indices):
+                intervals = np.asarray(prompt.timestamp_targets, dtype=np.float64) / self.time_scale
+                tim.add(offset, reg_indices, intervals[:, None])
 
-        if total is None:
-            total = Tensor(np.zeros(()), requires_grad=False)
+        breakdown = {"clas": 0.0, "reg": 0.0, "tim": 0.0, "count": 0.0}
+        scale = 1.0 / max(len(outputs), 1)
+        terms: List[Tensor] = []
+        weights: List[np.ndarray] = []
+
+        def add_term(key: str, family: "_FamilyRows", per_row: Tensor, weight: float) -> None:
+            # One weight per element: each prompt's mean over its rows, scaled by
+            # the family weight and the 1/len(prompts) of the batch mean.
+            row_weights = np.empty(per_row.shape)
+            for start, stop in family.spans:
+                values = per_row.data[start:stop]
+                row_weights[start:stop] = weight * scale / values.size
+                breakdown[key] += float(values.sum() / values.size)
+            breakdown["count"] += len(family.spans)
+            terms.append(per_row)
+            weights.append(row_weights)
+
+        rows = outputs[0].batch_task_rows if outputs else None
+        if clas.spans:
+            logits = self.heads.classification_logits(rows[clas.index()])
+            targets = np.asarray(clas.targets, dtype=np.int64)
+            add_term("clas", clas, losses.cross_entropy(logits, targets, reduction="none"), 1.0)
+        reg_rows = rows[reg.index()] if reg.spans else None
+        if reg.spans:
+            predictions = self.heads.regression_prediction(reg_rows)
+            per_row = losses.mse_loss(predictions, reg.stacked_targets(), reduction="none")
+            add_term("reg", reg, per_row, self.config.lambda_reg)
+        if tim.spans:
+            # Stage-1 prompts regress both from the same [REG] rows: one gather serves both heads.
+            tim_rows = reg_rows if reg_rows is not None and reg.rows == tim.rows else rows[tim.index()]
+            predictions = self.heads.timestamp_prediction(tim_rows)
+            per_row = losses.mse_loss(predictions, tim.stacked_targets(), reduction="none")
+            add_term("tim", tim, per_row, self.config.lambda_tim)
+
+        if terms:
+            total = F.weighted_sum(terms, weights)
         else:
-            total = total * (1.0 / max(len(outputs), 1))
+            total = Tensor(np.zeros(()), requires_grad=False)
         breakdown["total"] = float(total.item())
         return total, breakdown
-
-    def _clas_indices(self, prompt: Prompt) -> List[int]:
-        return [i for i, kind in enumerate(prompt.placeholders) if kind == CLAS]
-
-    def _reg_indices(self, prompt: Prompt) -> List[int]:
-        return [i for i, kind in enumerate(prompt.placeholders) if kind == REG]
-
-    def _classification_loss(self, prompt: Prompt, output: PromptOutput) -> Optional[Tensor]:
-        indices = self._clas_indices(prompt)
-        targets = [t for t in prompt.classification_targets if t >= 0]
-        if not indices or not targets or len(targets) != len(indices):
-            return None
-        rows = Tensor.stack([output.task_outputs[i] for i in indices], axis=0)
-        logits = self.heads.classification_logits(rows)
-        return losses.cross_entropy(logits, np.asarray(targets, dtype=np.int64))
-
-    def _regression_loss(self, prompt: Prompt, output: PromptOutput) -> Optional[Tensor]:
-        indices = self._reg_indices(prompt)
-        if not indices or not prompt.regression_targets:
-            return None
-        targets = [np.asarray(t, dtype=np.float64) for t in prompt.regression_targets]
-        if any(t.size == 0 for t in targets):
-            return None
-        if len(targets) != len(indices):
-            return None
-        rows = Tensor.stack([output.task_outputs[i] for i in indices], axis=0)
-        predictions = self.heads.regression_prediction(rows)
-        normalised_targets = np.stack([self.normalise_traffic(t) for t in targets])
-        return losses.mse_loss(predictions, normalised_targets)
-
-    def _timestamp_loss(self, prompt: Prompt, output: PromptOutput) -> Optional[Tensor]:
-        indices = self._reg_indices(prompt)
-        if not indices or not prompt.timestamp_targets:
-            return None
-        if len(prompt.timestamp_targets) != len(indices):
-            return None
-        rows = Tensor.stack([output.task_outputs[i] for i in indices], axis=0)
-        predictions = self.heads.timestamp_prediction(rows).reshape(len(indices))
-        targets = np.asarray(prompt.timestamp_targets, dtype=np.float64) / self.time_scale
-        return losses.mse_loss(predictions, targets)
 
     # ------------------------------------------------------------------
     # Inference helpers (all run without building a gradient graph)

@@ -81,12 +81,19 @@ class TrainingConfig:
 
 @dataclass
 class EpochLog:
-    """Loss statistics of a single epoch."""
+    """Loss and gradient statistics of a single epoch.
+
+    ``grad_norm_mean`` / ``grad_norm_max`` summarise the global gradient
+    norm of each step before clipping (the value ``clip_grad_norm``
+    returns); both are 0 for an epoch without a step.
+    """
 
     epoch: int
     loss: float
     breakdown: Dict[str, float]
     seconds: float
+    grad_norm_mean: float = 0.0
+    grad_norm_max: float = 0.0
 
 
 # ----------------------------------------------------------------------
@@ -224,6 +231,7 @@ class _TrainerBase:
         start_time = time.perf_counter()
         total_loss = 0.0
         breakdown_sum: Dict[str, float] = {}
+        grad_norms: List[float] = []
         batches = 0
         for group in self._batched_order(prompts):
             batch = [prompts[i] for i in group]
@@ -232,7 +240,7 @@ class _TrainerBase:
             if not loss.requires_grad:
                 continue
             loss.backward()
-            clip_grad_norm(optimizer.parameters, self.config.grad_clip)
+            grad_norms.append(clip_grad_norm(optimizer.parameters, self.config.grad_clip))
             optimizer.step()
             total_loss += float(loss.item())
             for key, value in breakdown.items():
@@ -240,7 +248,14 @@ class _TrainerBase:
             batches += 1
         elapsed = time.perf_counter() - start_time
         mean_loss = total_loss / max(batches, 1)
-        log = EpochLog(epoch=epoch, loss=mean_loss, breakdown=breakdown_sum, seconds=elapsed)
+        log = EpochLog(
+            epoch=epoch,
+            loss=mean_loss,
+            breakdown=breakdown_sum,
+            seconds=elapsed,
+            grad_norm_mean=sum(grad_norms) / len(grad_norms) if grad_norms else 0.0,
+            grad_norm_max=max(grad_norms, default=0.0),
+        )
         self.history.append(log)
         return log
 

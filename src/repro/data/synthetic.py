@@ -90,6 +90,7 @@ class SyntheticCity:
         self._edge_keys = list(zip(sources.tolist(), targets.tolist()))
         self._edge_free_flow = network.free_flow_travel_times[targets]
         self._users = [self._make_user(uid) for uid in range(self.config.num_users)]
+        self._routes: Dict[Tuple[int, int, int], Tuple[int, ...]] = {}
         self._congestion = self._build_congestion_field()
 
     # ------------------------------------------------------------------
@@ -162,18 +163,23 @@ class SyntheticCity:
         noise = self._rng.normal(0.0, 0.03, size=(num_segments, num_slices))
         return np.clip(base + noise, 0.2, 1.0)
 
-    def segment_speed(self, segment_id: int, timestamp: float) -> float:
-        """Effective speed (km/h) on a segment at a timestamp."""
-        slice_index = self.time_axis.slice_of(timestamp)
-        limit = self.network.segments[segment_id].speed_limit
-        noise = self._rng.normal(1.0, self.config.speed_noise)
-        return float(np.clip(limit * self._congestion[segment_id, slice_index] * noise, 5.0, limit))
-
     # ------------------------------------------------------------------
     # Trajectory generation
     # ------------------------------------------------------------------
-    def _route_for(self, user: _UserProfile, origin: int, destination: int) -> List[int]:
-        return self.network.shortest_path(origin, destination, weights=user.edge_weights)
+    def _route_for(self, user: _UserProfile, origin: int, destination: int) -> Tuple[int, ...]:
+        """The user's preferred route, memoised per ``(user, origin, destination)``.
+
+        A user's edge weights never change, and the shortest path for fixed
+        weights is deterministic, so a repeated trip (a commute) reuses its
+        route.
+        """
+        key = (user.user_id, origin, destination)
+        route = self._routes.get(key)
+        if route is None:
+            route = self._routes[key] = tuple(
+                self.network.shortest_path(origin, destination, weights=user.edge_weights)
+            )
+        return route
 
     def _random_destination(self, origin: int) -> int:
         for _ in range(32):
@@ -189,13 +195,20 @@ class SyntheticCity:
         hour = float(np.clip(hour, 0.0, 23.5))
         return day * SECONDS_PER_DAY + hour * SECONDS_PER_HOUR
 
-    def _simulate_trip(self, trajectory_id: int, user: _UserProfile, route: List[int], departure: float) -> Trajectory:
+    def _simulate_trip(self, trajectory_id: int, user: _UserProfile, route: Sequence[int], departure: float) -> Trajectory:
+        """Drive ``route`` from ``departure``: each segment's effective speed
+        (km/h) is its limit times the latent congestion of the slice the
+        vehicle enters it in, times one noise draw, clipped to
+        ``[5, limit]``.  The trip's noise is one vector draw, the same
+        stream as one scalar draw per segment."""
         timestamps = [departure]
-        speeds = []
-        for segment_id in route[:-1]:
-            speed = self.segment_speed(segment_id, timestamps[-1])
-            speeds.append(speed)
-            travel_seconds = self.network.segments[segment_id].length / max(speed, 1e-6) * 3600.0
+        noise = self._rng.normal(1.0, self.config.speed_noise, size=len(route) - 1)
+        for segment_id, factor in zip(route[:-1], noise.tolist()):
+            segment = self.network.segments[segment_id]
+            limit = segment.speed_limit
+            slice_index = self.time_axis.slice_of(timestamps[-1])
+            speed = float(min(max(limit * self._congestion[segment_id, slice_index] * factor, 5.0), limit))
+            travel_seconds = segment.length / max(speed, 1e-6) * 3600.0
             timestamps.append(timestamps[-1] + travel_seconds)
         mean_congestion = float(np.mean([
             self._congestion[s, self.time_axis.slice_of(t)] for s, t in zip(route, timestamps)

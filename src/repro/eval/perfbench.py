@@ -60,6 +60,7 @@ __all__ = [
     "write_report",
     "config_hash",
     "reference_city_build",
+    "reference_prompt_loss",
     "reference_tokenizer",
     "datasets_identical",
 ]
@@ -162,8 +163,9 @@ class PerfBenchReport:
 
 
 def write_report(report: PerfBenchReport, path) -> Path:
-    """Write ``BENCH_engine.json`` (or any path) and return it."""
+    """Write ``BENCH_engine.json`` (or any path, creating its directory) and return it."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(report.to_json() + "\n")
     return path
 
@@ -359,6 +361,59 @@ def _recorded(owner, name: str, outputs: List[np.ndarray]):
         yield
 
 
+def reference_prompt_loss(model, prompts, traffic_override=None):
+    """``BIGCity.prompt_loss`` as the per-prompt loop the family-batched loss replaced.
+
+    Each prompt pulls its own ``[CLAS]`` / ``[REG]`` rows with one
+    ``__getitem__`` node per row, stacks them, runs a head and a loss per
+    term, and the terms are summed one weighted node at a time.  Rows are
+    stacked as ``(n, 1, d_model)``, one-row products as the batched stack
+    computes them, so every head output equals the batched path's bit for
+    bit; the loss and the gradients differ by summation order only.  It is
+    the oracle of the family-batched loss tests and, patched in for
+    ``BIGCity.prompt_loss``, part of the ``train_step`` baseline.
+    """
+    from repro.core.prompts import CLAS, REG
+
+    outputs = model.forward_prompts(prompts, traffic_override=traffic_override)
+    total = None
+    breakdown = {"clas": 0.0, "reg": 0.0, "tim": 0.0, "count": 0.0}
+
+    def stacked(output, indices):
+        return Tensor.stack([output.task_outputs[i : i + 1] for i in indices], axis=0)
+
+    for output in outputs:
+        prompt = output.prompt
+        clas_indices = [i for i, kind in enumerate(prompt.placeholders) if kind == CLAS]
+        reg_indices = [i for i, kind in enumerate(prompt.placeholders) if kind == REG]
+        terms = []
+        targets = [t for t in prompt.classification_targets if t >= 0]
+        if clas_indices and targets and len(targets) == len(clas_indices):
+            logits = model.heads.classification_logits(stacked(output, clas_indices))
+            terms.append(("clas", 1.0, losses.cross_entropy(logits, np.asarray(targets, dtype=np.int64))))
+        values = [np.asarray(t, dtype=np.float64) for t in prompt.regression_targets]
+        if reg_indices and values and all(t.size for t in values) and len(values) == len(reg_indices):
+            predictions = model.heads.regression_prediction(stacked(output, reg_indices))
+            normalised = np.stack([model.normalise_traffic(t) for t in values])[:, None, :]
+            terms.append(("reg", model.config.lambda_reg, losses.mse_loss(predictions, normalised)))
+        if reg_indices and prompt.timestamp_targets and len(prompt.timestamp_targets) == len(reg_indices):
+            predictions = model.heads.timestamp_prediction(stacked(output, reg_indices)).reshape(len(reg_indices))
+            intervals = np.asarray(prompt.timestamp_targets, dtype=np.float64) / model.time_scale
+            terms.append(("tim", model.config.lambda_tim, losses.mse_loss(predictions, intervals)))
+        for key, weight, term in terms:
+            weighted = term * weight
+            total = weighted if total is None else total + weighted
+            breakdown[key] += float(term.item())
+            breakdown["count"] += 1.0
+
+    if total is None:
+        total = Tensor(np.zeros(()), requires_grad=False)
+    else:
+        total = total * (1.0 / max(len(outputs), 1))
+    breakdown["total"] = float(total.item())
+    return total, breakdown
+
+
 def bench_train_step(config: PerfBenchConfig) -> Dict[str, float]:
     """One stage-1 step on ``xa_like``: ``prompt_loss`` forward and backward.
 
@@ -367,16 +422,21 @@ def bench_train_step(config: PerfBenchConfig) -> Dict[str, float]:
     backbone trainable, as the stage-1 trainer sets them.  The baseline runs
     the same step inside :func:`reference_tokenizer` (the fusion of every
     row of every slice the batch touches) with every LoRA layer as the
-    composed chain of seven tape ops.  ``identical`` checks that both give
-    the same ST tokens, LoRA-layer outputs and loss bit for bit;
-    ``tape_nodes`` and ``reference_tape_nodes`` count the recorded op nodes
-    of one step's backward.
+    composed chain of seven tape ops, every MLP as its per-layer nodes and
+    the loss as the per-prompt loop of :func:`reference_prompt_loss`.
+    ``identical`` checks that both give the same ST tokens, LoRA-layer
+    outputs and head outputs bit for bit; ``loss_rel_diff`` is the relative
+    gap of the two losses (summation order only); ``tape_nodes`` and
+    ``reference_tape_nodes`` count the recorded op nodes of one step's
+    backward.
     """
     from repro.core.config import BIGCityConfig
+    from repro.core.heads import GeneralTaskHeads
     from repro.core.model import BIGCity
     from repro.core.tokenizer import SpatioTemporalTokenizer
     from repro.core.training import TrainingConfig, assemble_stage1_prompts
     from repro.data.datasets import load_dataset
+    from repro.nn.layers import MLP
 
     dataset = load_dataset(_DATASET_PRESET, seed=config.seed)
     model = BIGCity.from_dataset(dataset, config=BIGCityConfig.tiny())
@@ -394,7 +454,12 @@ def bench_train_step(config: PerfBenchConfig) -> Dict[str, float]:
 
     @contextlib.contextmanager
     def reference():
-        with reference_tokenizer(), _patched([(F, "lora_linear", F.lora_linear_composed)]):
+        patches = [
+            (F, "lora_linear", F.lora_linear_composed),
+            (MLP, "forward", _layerwise_mlp_forward),
+            (BIGCity, "prompt_loss", reference_prompt_loss),
+        ]
+        with reference_tokenizer(), _patched(patches):
             yield
 
     def run_reference() -> Tensor:
@@ -402,13 +467,22 @@ def bench_train_step(config: PerfBenchConfig) -> Dict[str, float]:
             return step()
 
     def recorded_step(baseline: bool):
-        outputs: List[np.ndarray] = []
-        with reference() if baseline else contextlib.nullcontext():
-            with _recorded(SpatioTemporalTokenizer, "encode_batch", outputs), _recorded(F, "lora_linear", outputs):
-                loss = step()
-        return outputs + [loss.data], _tape_nodes(loss)
+        recorded = {name: [] for name in ("encode_batch", "lora_linear", *_HEAD_METHODS)}
+        with reference() if baseline else contextlib.nullcontext(), contextlib.ExitStack() as stack:
+            stack.enter_context(_recorded(SpatioTemporalTokenizer, "encode_batch", recorded["encode_batch"]))
+            stack.enter_context(_recorded(F, "lora_linear", recorded["lora_linear"]))
+            for name in _HEAD_METHODS:
+                stack.enter_context(_recorded(GeneralTaskHeads, name, recorded[name]))
+            loss = step()
+        # Per-prompt head calls concatenate, in call order, to the batched call's rows.
+        outputs = recorded["encode_batch"] + recorded["lora_linear"]
+        outputs += [np.concatenate(recorded[name]) for name in _HEAD_METHODS if recorded[name]]
+        return outputs, float(loss.data), _tape_nodes(loss)
 
-    (outputs, nodes), (reference_outputs, reference_nodes) = recorded_step(False), recorded_step(True)
+    (outputs, loss, nodes), (reference_outputs, reference_loss, reference_nodes) = (
+        recorded_step(False),
+        recorded_step(True),
+    )
     identical = len(outputs) == len(reference_outputs) > 1 and all(
         np.array_equal(a, b) for a, b in zip(outputs, reference_outputs)
     )
@@ -419,9 +493,18 @@ def bench_train_step(config: PerfBenchConfig) -> Dict[str, float]:
         "step_s": step_s,
         "speedup": reference_s / step_s if step_s > 0 else float("inf"),
         "identical": float(identical),
+        "loss_rel_diff": abs(loss - reference_loss) / abs(reference_loss),
         "tape_nodes": float(nodes),
         "reference_tape_nodes": float(reference_nodes),
     }
+
+
+_HEAD_METHODS = ("classification_logits", "regression_prediction", "timestamp_prediction")
+
+
+def _layerwise_mlp_forward(self, x: Tensor) -> Tensor:
+    """``MLP.forward`` as one tape node per layer (the fused linear and GELU kernels)."""
+    return self.layers(x)
 
 
 class _UnmergedLoRA(LoRALinear):
@@ -1042,6 +1125,36 @@ def _reference_route_preferences(city) -> Dict:
     return weights
 
 
+def _reference_route_for(city, user, origin: int, destination: int) -> List[int]:
+    """A user's route searched again on every trip (no memo)."""
+    return city.network.shortest_path(origin, destination, weights=user.edge_weights)
+
+
+def _reference_simulate_trip(city, trajectory_id: int, user, route, departure: float):
+    """A trip driven with one scalar ``normal`` speed-noise draw and one ``np.clip`` per segment."""
+    from repro.data.trajectory import Trajectory
+
+    timestamps = [departure]
+    for segment_id in route[:-1]:
+        slice_index = city.time_axis.slice_of(timestamps[-1])
+        limit = city.network.segments[segment_id].speed_limit
+        noise = city._rng.normal(1.0, city.config.speed_noise)
+        speed = float(np.clip(limit * city._congestion[segment_id, slice_index] * noise, 5.0, limit))
+        travel_seconds = city.network.segments[segment_id].length / max(speed, 1e-6) * 3600.0
+        timestamps.append(timestamps[-1] + travel_seconds)
+    mean_congestion = float(
+        np.mean([city._congestion[s, city.time_axis.slice_of(t)] for s, t in zip(route, timestamps)])
+    )
+    return Trajectory(
+        trajectory_id=trajectory_id,
+        user_id=user.user_id,
+        segments=list(route),
+        timestamps=timestamps,
+        label=int(mean_congestion < 0.75),
+        metadata={"mean_congestion": mean_congestion},
+    )
+
+
 @contextlib.contextmanager
 def _patched(patches):
     """Replace ``(owner, name, replacement)`` class or module attributes inside the block."""
@@ -1060,8 +1173,10 @@ def reference_city_build():
     """Build synthetic cities with the formulation the shared-graph build replaced.
 
     Inside the block every personalised route copies the networkx graph and
-    overwrites its weights, every hop distance is a networkx BFS per pair,
-    and every user's preferences are drawn one scalar per edge.  It is the
+    overwrites its weights and is searched again on every trip, every hop
+    distance is a networkx BFS per pair, every user's preferences are drawn
+    one scalar per edge and every trip's speed noise one scalar per
+    segment.  It is the
     baseline of the ``dataset`` benchmark and the oracle of the dataset
     equality tests: both builds must produce the same city bit for bit.
     """
@@ -1073,6 +1188,8 @@ def reference_city_build():
             (RoadNetwork, "shortest_path", _reference_shortest_path),
             (RoadNetwork, "hop_distance", _reference_hop_distance),
             (SyntheticCity, "_route_preferences", _reference_route_preferences),
+            (SyntheticCity, "_route_for", _reference_route_for),
+            (SyntheticCity, "_simulate_trip", _reference_simulate_trip),
         ]
     ):
         yield

@@ -274,24 +274,8 @@ def fused_gelu(x: Tensor) -> Tensor:
     out, x_sq, tanh_inner = gelu_forward(data_x)
 
     def backward(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        # derivative = 0.5*(1+t) + 0.5*x*(1-t²)*c*(1+3a*x²), computed by
-        # destroying the saved x² / tanh buffers (a tape node's backward
-        # runs exactly once).
-        sech2 = tanh_inner * tanh_inner
-        np.subtract(1.0, sech2, out=sech2)
-        poly = x_sq
-        poly *= 3.0 * 0.044715
-        poly += 1.0
-        poly *= _GELU_C
-        sech2 *= poly
-        sech2 *= data_x
-        np.add(tanh_inner, 1.0, out=poly)
-        sech2 += poly
-        sech2 *= 0.5
-        sech2 *= grad
-        x._accumulate_owned(sech2)
+        if x.requires_grad:
+            x._accumulate_owned(gelu_backward(grad, data_x, x_sq, tanh_inner))
 
     return apply_op(out, (x,), backward)
 
@@ -308,6 +292,92 @@ def gelu_forward(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     out *= x
     out *= 0.5
     return out, x_sq, tanh_inner
+
+
+def gelu_backward(grad: np.ndarray, x: np.ndarray, x_sq: np.ndarray, tanh_inner: np.ndarray) -> np.ndarray:
+    """Array-level GELU backward from the buffers :func:`gelu_forward` saved.
+
+    derivative = 0.5*(1+t) + 0.5*x*(1-t²)*c*(1+3a*x²), computed by
+    destroying the saved ``x²`` / ``tanh`` buffers (a tape node's backward
+    runs exactly once); returns a fresh gradient buffer.
+    """
+    sech2 = tanh_inner * tanh_inner
+    np.subtract(1.0, sech2, out=sech2)
+    poly = x_sq
+    poly *= 3.0 * 0.044715
+    poly += 1.0
+    poly *= _GELU_C
+    sech2 *= poly
+    sech2 *= x
+    np.add(tanh_inner, 1.0, out=poly)
+    sech2 += poly
+    sech2 *= 0.5
+    sech2 *= grad
+    return sech2
+
+
+def mlp(x: Tensor, layers: Sequence[Tuple[Tensor, Optional[Tensor]]]) -> Tensor:
+    """Linear → GELU → ... → Linear (``layers`` = ``(weight, bias)`` pairs) as one tape node.
+
+    The forward runs :func:`linear_forward` and :func:`gelu_forward`, the
+    arithmetic of :func:`fused_linear` and :func:`fused_gelu`, so values
+    equal the per-layer kernels bit for bit; the backward is theirs in
+    reverse order, with each layer's ``(weight, bias)`` gradient computed
+    as :func:`fused_linear` computes it.
+    """
+    inputs = []
+    saved = []
+    h = x.data
+    last = len(layers) - 1
+    for index, (weight, bias) in enumerate(layers):
+        inputs.append(h)
+        h = linear_forward(h, weight.data, None if bias is None else bias.data)
+        if index < last:
+            pre = h
+            h, x_sq, tanh_inner = gelu_forward(pre)
+            saved.append((pre, x_sq, tanh_inner))
+
+    def backward(grad: np.ndarray) -> None:
+        for index in range(last, -1, -1):
+            weight, bias = layers[index]
+            layer_input = inputs[index]
+            flat_grad = grad.reshape(-1, grad.shape[-1])
+            if weight.requires_grad:
+                weight._accumulate_owned(flat_grad.T @ layer_input.reshape(-1, layer_input.shape[-1]))
+            if bias is not None and bias.requires_grad:
+                bias._accumulate_owned(flat_grad.sum(axis=0))
+            if index == 0:
+                if x.requires_grad:
+                    x._accumulate_owned(grad @ weight.data)
+                return
+            grad = gelu_backward(grad @ weight.data, *saved[index - 1])
+
+    parents = [x]
+    for weight, bias in layers:
+        parents.append(weight)
+        if bias is not None:
+            parents.append(bias)
+    return apply_op(h, parents, backward)
+
+
+def weighted_sum(terms: Sequence[Tensor], weights: Sequence[np.ndarray]) -> Tensor:
+    """``Σ_i sum(terms[i] * weights[i])`` as one scalar tape node.
+
+    A multi-term loss as one weighted reduction: ``weights[i]`` has the
+    shape of ``terms[i]`` and the backward hands term ``i`` the gradient
+    ``weights[i] * grad``.
+    """
+    total = 0.0
+    for term, weight in zip(terms, weights):
+        total += float((term.data * weight).sum())
+
+    def backward(grad: np.ndarray) -> None:
+        scale = float(np.asarray(grad).reshape(()))
+        for term, weight in zip(terms, weights):
+            if term.requires_grad:
+                term._accumulate_owned(weight * scale)
+
+    return apply_op(np.asarray(total), terms, backward)
 
 
 def gelu_composed(x: Tensor) -> Tensor:

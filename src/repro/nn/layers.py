@@ -92,7 +92,9 @@ class MLP(Module):
     """Multi-layer perceptron with GELU between its linear layers.
 
     The paper uses MLPs in the temporal-integration module of the tokenizer
-    (Eq. 8) and as the general-task heads (Eq. 11).
+    (Eq. 8) and as the general-task heads (Eq. 11).  With the fused kernels
+    the whole stack is one tape node (:func:`repro.nn.functional.mlp`);
+    under ``fused_kernels(False)`` it runs layer by layer.
     """
 
     def __init__(
@@ -114,6 +116,8 @@ class MLP(Module):
         self.out_features = out_features
 
     def forward(self, x: Tensor) -> Tensor:
+        if fused_enabled():
+            return F.mlp(x, [(layer.weight, layer.bias) for layer in self.layers if isinstance(layer, Linear)])
         return self.layers(x)
 
 

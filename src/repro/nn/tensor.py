@@ -249,7 +249,7 @@ class Tensor:
         if self.grad is None:
             self.grad = grad.copy()
         else:
-            self.grad = self.grad + grad
+            self.grad += grad
 
     def _accumulate_owned(self, grad: np.ndarray) -> None:
         """Accumulate a gradient buffer whose ownership transfers to this tensor.
@@ -260,8 +260,8 @@ class Tensor:
         check) would be pure overhead; the buffer is adopted directly on
         first accumulation and added in place afterwards.  A buffer whose
         shape or dtype differs from the tensor's takes the copying path.
-        Ops that pass the incoming gradient itself on (add, reshape,
-        transpose, ...) must use :meth:`_accumulate`.
+        Ops that pass the incoming gradient itself on use
+        :meth:`_accumulate_passed`.
         """
         if grad.shape != self.data.shape or grad.dtype != self.data.dtype:
             self._accumulate(grad)
@@ -270,6 +270,33 @@ class Tensor:
             self.grad = grad
         else:
             self.grad += grad
+
+    def _accumulate_passed(self, grad: np.ndarray) -> bool:
+        """Accumulate the consumer's own gradient buffer, or a view of it.
+
+        Pass-through ops (add, reshape, transpose, concat, stack, ...) hand
+        their incoming gradient on unchanged.  That buffer belongs to a node
+        whose backward has already run, so an intermediate tensor adopts it
+        and sums every later gradient into it in place: each node's gradient
+        is summed once, into one buffer.  A leaf keeps a private copy, since
+        its ``.grad`` outlives the backward (optimisers and
+        ``clip_grad_norm`` read and rescale it).  An op hands one buffer to
+        at most one parent this way; any other parent that receives the same
+        array takes :meth:`_accumulate`, or an in-place add through one
+        parent would change the other's gradient.  Returns whether the
+        buffer was adopted.
+        """
+        if (
+            self.grad is not None
+            or self._backward is None
+            or grad.shape != self.data.shape
+            or grad.dtype != self.data.dtype
+            or not grad.flags.writeable
+        ):
+            self._accumulate(grad)
+            return False
+        self.grad = grad
+        return True
 
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
         """Backpropagate from this tensor.
@@ -320,10 +347,13 @@ class Tensor:
         data = self.data + other.data
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad)
+            # The buffer goes to one parent only: ``x + x`` must not adopt it twice.
+            adopted = self.requires_grad and self._accumulate_passed(grad)
             if other.requires_grad:
-                other._accumulate(grad)
+                if adopted:
+                    other._accumulate(grad)
+                else:
+                    other._accumulate_passed(grad)
 
         return apply_op(data, (self, other), backward)
 
@@ -344,7 +374,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad)
+                self._accumulate_passed(grad)
             if other.requires_grad:
                 other._accumulate_owned(-grad)
 
@@ -440,7 +470,9 @@ class Tensor:
                 axes = (axis,) if isinstance(axis, int) else tuple(axis)
                 for ax in sorted(a % self.data.ndim for a in axes):
                     grad_full = np.expand_dims(grad_full, ax)
-            self._accumulate(np.broadcast_to(grad_full, self.data.shape))
+            full = np.empty(self.data.shape, dtype=_grad_dtype(self.data))
+            full[...] = grad_full
+            self._accumulate_owned(full)
 
         return apply_op(data, (self,), backward)
 
@@ -593,7 +625,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad.reshape(original_shape))
+                self._accumulate_passed(grad.reshape(original_shape))
 
         return apply_op(data, (self,), backward)
 
@@ -606,7 +638,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad.transpose(np.argsort(axes)))
+                self._accumulate_passed(grad.transpose(np.argsort(axes)))
 
         return apply_op(data, (self,), backward)
 
@@ -616,7 +648,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad)
+                self._accumulate_passed(_unbroadcast(grad, self.data.shape))
 
         return apply_op(data, (self,), backward)
 
@@ -728,7 +760,7 @@ class Tensor:
                 if tensor.requires_grad:
                     slicer = [slice(None)] * grad.ndim
                     slicer[axis] = slice(offset, offset + size)
-                    tensor._accumulate(grad[tuple(slicer)])
+                    tensor._accumulate_passed(grad[tuple(slicer)])
                 offset += size
 
         return apply_op(data, tensors, backward)
@@ -742,7 +774,7 @@ class Tensor:
             moved = np.moveaxis(grad, axis, 0)
             for i, tensor in enumerate(tensors):
                 if tensor.requires_grad:
-                    tensor._accumulate(moved[i])
+                    tensor._accumulate_passed(moved[i])
 
         return apply_op(data, tensors, backward)
 

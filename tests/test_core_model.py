@@ -9,7 +9,7 @@ from repro.core.backbone import BIGCityBackbone
 from repro.core.config import BIGCityConfig
 from repro.core.heads import GeneralTaskHeads, LabelSpace
 from repro.core.model import BIGCity
-from repro.core.prompts import CLAS, TaskType
+from repro.core.prompts import CLAS, REG, TaskType
 from repro.nn.lora import LoRALinear
 from repro.nn.tensor import Tensor, fused_kernels, no_grad
 
@@ -436,3 +436,138 @@ class TestSharedPartialTokens:
         scale = max(np.abs(grad).max() for grad in reference[1].values())
         for key, expected in reference[1].items():
             np.testing.assert_allclose(shared[1][key], expected, rtol=1e-12, atol=1e-12 * scale, err_msg=key)
+
+
+def _edge_prompts(prompts):
+    """Variants of ``prompts`` that take every skip path of the loss: no
+    valid classification target, too few targets, empty regression targets,
+    missing or too few regression and timestamp targets."""
+    from dataclasses import replace
+
+    variants = []
+    for prompt in prompts:
+        num_clas, num_reg = prompt.placeholders.count(CLAS), prompt.placeholders.count(REG)
+        if num_clas:
+            variants.append(replace(prompt, classification_targets=(-1,) * num_clas))
+        if num_clas > 1:
+            variants.append(replace(prompt, classification_targets=prompt.classification_targets[:-1]))
+        if num_reg and prompt.regression_targets:
+            variants.append(replace(prompt, regression_targets=prompt.regression_targets[:-1]))
+            variants.append(replace(prompt, regression_targets=(np.zeros(0),) * num_reg))
+        if num_reg and prompt.timestamp_targets:
+            variants.append(replace(prompt, timestamp_targets=prompt.timestamp_targets[:-1]))
+    return variants
+
+
+class TestFamilyBatchedLoss:
+    """``prompt_loss`` (one head and loss call per family) against the per-prompt oracle."""
+
+    @staticmethod
+    def _pool(model, dataset, rng):
+        from repro.core.training import TrainingConfig, assemble_stage1_prompts, assemble_stage2_prompts
+
+        config = TrainingConfig(max_trajectories=6, traffic_sequences_per_epoch=3)
+        stage1 = assemble_stage1_prompts(dataset, dataset.traffic_states, model.prompt_builder, config, rng)
+        stage2 = assemble_stage2_prompts(
+            dataset, dataset.traffic_states, model.prompt_builder, config, tuple(TaskType), rng
+        )
+        generated = _generated_prompts(model.prompt_builder, model, dataset, rng)
+        pool = stage1 + stage2 + generated
+        return pool + _edge_prompts(pool)
+
+    @staticmethod
+    def _batches(pool, rng):
+        def pick(candidates, size):
+            return [candidates[int(i)] for i in rng.choice(len(candidates), size=size, replace=False)]
+
+        clas_only = [p for p in pool if p.placeholders and set(p.placeholders) == {CLAS}]
+        reg_only = [p for p in pool if p.placeholders and set(p.placeholders) == {REG}]
+        return [
+            *(pick(pool, int(rng.integers(2, 12))) for _ in range(4)),
+            pick(pool, 1),
+            pick(clas_only, 6),
+            pick(reg_only, 6),
+            [p for p in pool if p.task is TaskType.SIMILARITY],
+        ]
+
+    @staticmethod
+    def _run(model, batch, loss_fn, monkeypatch):
+        heads = {name: [] for name in ("classification_logits", "regression_prediction", "timestamp_prediction")}
+        for name, recorded in heads.items():
+            method = getattr(GeneralTaskHeads, name)
+
+            def recording(self, tokens, *args, _method=method, _recorded=recorded, **kwargs):
+                out = _method(self, tokens, *args, **kwargs)
+                _recorded.append(out.data)
+                return out
+
+            monkeypatch.setattr(GeneralTaskHeads, name, recording)
+        model.zero_grad()
+        loss, breakdown = loss_fn(batch)
+        if loss.requires_grad:
+            loss.backward()
+        monkeypatch.undo()
+        grads = {key: p.grad.copy() for key, p in model.named_parameters() if p.grad is not None}
+        # Per-prompt head calls concatenate, in call order, to the batched call's rows.
+        outputs = {name: np.concatenate(arrays) for name, arrays in heads.items() if arrays}
+        return loss, breakdown, grads, outputs
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_generated_batches_match_the_per_prompt_oracle(self, tiny_dataset, seed, fused, monkeypatch):
+        from repro.eval.perfbench import reference_prompt_loss
+
+        rng = np.random.default_rng(200 + seed)
+        model = TestMergedPromptAssembly._model(tiny_dataset, seed, True)
+        pool = self._pool(model, tiny_dataset, rng)
+        model = TestMergedPromptAssembly._model(tiny_dataset, seed, True, pool)
+        model.train()
+        model.backbone.llm.unfreeze()
+        for batch in self._batches(pool, rng):
+            with fused_kernels(fused):
+                loss, breakdown, grads, outputs = self._run(model, batch, model.prompt_loss, monkeypatch)
+                ref_loss, ref_breakdown, ref_grads, ref_outputs = self._run(
+                    model, batch, lambda prompts: reference_prompt_loss(model, prompts), monkeypatch
+                )
+            assert outputs.keys() == ref_outputs.keys()
+            for name in outputs:
+                np.testing.assert_array_equal(outputs[name], ref_outputs[name], err_msg=name)
+            assert loss.requires_grad == ref_loss.requires_grad
+            np.testing.assert_allclose(float(loss.data), float(ref_loss.data), rtol=1e-12, atol=0.0)
+            assert breakdown.keys() == ref_breakdown.keys()
+            for key in breakdown:
+                np.testing.assert_allclose(breakdown[key], ref_breakdown[key], rtol=1e-12, atol=0.0, err_msg=key)
+            assert grads.keys() == ref_grads.keys()
+            scale = max((float(np.abs(g).max()) for g in ref_grads.values()), default=0.0)
+            for key in grads:
+                np.testing.assert_allclose(grads[key], ref_grads[key], rtol=1e-12, atol=1e-12 * scale, err_msg=key)
+
+    def test_one_head_and_loss_call_per_family(self, untrained_model, tiny_dataset, monkeypatch):
+        from repro.nn import losses
+
+        rng = np.random.default_rng(0)
+        prompts = [
+            untrained_model.prompt_builder.masked_reconstruction(
+                untrained_model.sequence_from_trajectory(trajectory), 0.4, rng=rng
+            )
+            for trajectory in tiny_dataset.train_trajectories[:6]
+        ]
+        calls = []
+        for owner, name in [
+            (GeneralTaskHeads, "classification_logits"),
+            (GeneralTaskHeads, "regression_prediction"),
+            (GeneralTaskHeads, "timestamp_prediction"),
+            (losses, "cross_entropy"),
+        ]:
+            method = getattr(owner, name)
+
+            def counted(*args, _method=method, _name=name, **kwargs):
+                calls.append(_name)
+                return _method(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        _, breakdown = untrained_model.prompt_loss(prompts)
+        assert sorted(calls) == sorted(
+            ["classification_logits", "regression_prediction", "timestamp_prediction", "cross_entropy"]
+        )
+        assert breakdown["count"] == 3 * len(prompts)

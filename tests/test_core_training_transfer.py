@@ -78,6 +78,23 @@ class TestMaskedReconstruction:
         assert logs[0].seconds > 0
         assert "clas" in logs[0].breakdown
 
+    def test_epoch_logs_summarise_the_clipped_norms(self, tiny_dataset, tiny_config, tiny_training_config, monkeypatch):
+        import repro.core.training as training
+
+        norms = []
+        clip = training.clip_grad_norm
+
+        def recording(parameters, max_norm):
+            norms.append(clip(parameters, max_norm))
+            return norms[-1]
+
+        monkeypatch.setattr(training, "clip_grad_norm", recording)
+        model = BIGCity.from_dataset(tiny_dataset, config=tiny_config)
+        (log,) = MaskedReconstructionTrainer(model, tiny_dataset, tiny_training_config).train()
+        assert norms and all(norm > 0 for norm in norms)
+        assert log.grad_norm_mean == pytest.approx(sum(norms) / len(norms), rel=1e-15)
+        assert log.grad_norm_max == max(norms)
+
 
 class TestPromptTuning:
     def test_full_training_set_contains_requested_tasks(self, tiny_dataset, tiny_config, tiny_training_config):

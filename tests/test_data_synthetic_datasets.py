@@ -129,7 +129,7 @@ class TestSharedGraphBuild:
 
     @pytest.mark.parametrize(
         "name, seed, scale",
-        [(name, seed, 1.0) for name in sorted(DATASET_PRESETS) for seed in (0, 1)] + [("xa_like", 0, 0.5)],
+        [(name, seed, 1.0) for name in sorted(DATASET_PRESETS) for seed in (0, 1, 2)] + [("xa_like", 0, 0.5)],
     )
     def test_build_matches_reference_bit_for_bit(self, name, seed, scale):
         built = load_dataset(name, seed=seed, scale=scale, use_cache=False)
@@ -141,12 +141,37 @@ class TestSharedGraphBuild:
     def test_reference_patches_are_restored(self):
         from repro.roadnet.network import RoadNetwork
 
-        originals = (RoadNetwork.shortest_path, RoadNetwork.hop_distance, SyntheticCity._route_preferences)
+        def current():
+            return (
+                RoadNetwork.shortest_path,
+                RoadNetwork.hop_distance,
+                SyntheticCity._route_preferences,
+                SyntheticCity._route_for,
+                SyntheticCity._simulate_trip,
+            )
+
+        originals = current()
         with pytest.raises(RuntimeError):
             with reference_city_build():
-                assert RoadNetwork.shortest_path is not originals[0]
+                assert all(patched is not original for patched, original in zip(current(), originals))
                 raise RuntimeError("leave the block early")
-        assert (RoadNetwork.shortest_path, RoadNetwork.hop_distance, SyntheticCity._route_preferences) == originals
+        assert current() == originals
+
+    def test_routes_are_searched_once_per_user_and_endpoints(self, monkeypatch):
+        from repro.roadnet.network import RoadNetwork
+
+        searches = []
+        search = RoadNetwork.shortest_path
+
+        def counting(network, source, target, weights=None):
+            searches.append((id(weights), source, target))
+            return search(network, source, target, weights=weights)
+
+        monkeypatch.setattr(RoadNetwork, "shortest_path", counting)
+        load_dataset("xa_like", seed=0, use_cache=False)
+        # Commutes repeat a user's (home, work) pair, so the memo skips a
+        # large share of the searches; each distinct key is searched once.
+        assert len(searches) == len(set(searches))
 
     def test_identity_check_sees_a_changed_timestamp(self, tiny_dataset):
         import copy

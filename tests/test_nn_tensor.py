@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from repro.nn import no_grad
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor, _wrap
+from repro.nn.optim import clip_grad_norm
+from repro.nn.tensor import Tensor, _wrap, fused_kernels
 
 
 def numeric_gradient(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -361,6 +362,116 @@ class TestBackwardSemantics:
 
 
 
+# ----------------------------------------------------------------------
+# Pass-through gradients: intermediates adopt their consumer's buffer.
+# ----------------------------------------------------------------------
+def _copying_passed(self, grad):
+    """``Tensor._accumulate_passed`` as the copying path (the oracle)."""
+    self._accumulate(grad)
+    return False
+
+
+#: Graphs whose nodes receive the same gradient buffer more than once or
+#: through several pass-through consumers: ``leaves -> output``.
+_ALIASING_GRAPHS = {
+    "leaf_plus_itself": lambda a, b: (a + a) * b,
+    "intermediate_plus_itself": lambda a, b: _twice(a * b) + _twice(_twice(a.exp())),
+    "add_chain_into_leaf": lambda a, b: ((a + b) + b) + a,
+    "diamond": lambda a, b: _diamond(a.tanh(), b),
+    "shared_through_reshape": lambda a, b: _shared_reshape(a * 2.0) + b,
+    "shared_through_concat": lambda a, b: _shared_concat(a * b),
+    "shared_through_stack": lambda a, b: _shared_stack(a.exp(), b),
+    "broadcast_and_sum": lambda a, b: (a * 2.0).sum(axis=0, keepdims=True).broadcast_to((3, 4)) + (a - b),
+}
+
+
+def _twice(h):
+    return h + h
+
+
+def _diamond(h, b):
+    left = h.reshape(4, 3).transpose().reshape(3, 4)
+    right = h * b
+    return left + right + h
+
+
+def _shared_reshape(h):
+    return h.reshape(12).reshape(3, 4) + h.reshape(4, 3).reshape(3, 4) + h
+
+
+def _shared_concat(h):
+    joined = Tensor.concat([h, h, h.reshape(3, 4)], axis=0)
+    return joined[:3] + joined[3:6] * 2.0 + joined[6:] + h
+
+
+def _shared_stack(h, b):
+    stacked = Tensor.stack([h, h, h + b], axis=1)
+    return stacked.sum(axis=1) + stacked[:, 0] + h
+
+
+def _graph_grads(name, passed=None):
+    rng = np.random.default_rng(0)
+    a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    b = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    out = _ALIASING_GRAPHS[name](a, b)
+    if passed is not None:
+        original = Tensor._accumulate_passed
+        Tensor._accumulate_passed = passed
+    try:
+        out.backward(rng.standard_normal(out.shape))
+    finally:
+        if passed is not None:
+            Tensor._accumulate_passed = original
+    return out, (a, b)
+
+
+def _intermediates(out):
+    nodes, stack, seen = [], [out], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._backward is None:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        stack.extend(node._parents)
+    return nodes
+
+
+class TestGradientBufferAliasing:
+    @pytest.mark.parametrize("name", sorted(_ALIASING_GRAPHS))
+    def test_adopted_buffers_give_the_copying_gradients_bit_for_bit(self, name):
+        _, adopted = _graph_grads(name)
+        _, copied = _graph_grads(name, passed=_copying_passed)
+        for leaf, reference in zip(adopted, copied):
+            assert reference.grad is not None
+            np.testing.assert_array_equal(leaf.grad, reference.grad)
+
+    @pytest.mark.parametrize("name", sorted(_ALIASING_GRAPHS))
+    def test_leaf_gradients_are_private(self, name):
+        out, leaves = _graph_grads(name)
+        nodes = [node for node in _intermediates(out) if node.grad is not None]
+        for leaf in leaves:
+            others = [other.grad for other in leaves if other is not leaf] + [node.grad for node in nodes]
+            assert not any(np.shares_memory(leaf.grad, other) for other in others)
+
+    @pytest.mark.parametrize("name", sorted(_ALIASING_GRAPHS))
+    def test_rescaling_a_leaf_changes_no_other_buffer(self, name):
+        out, (a, b) = _graph_grads(name)
+        nodes = [node for node in _intermediates(out) if node.grad is not None]
+        before = [b.grad.copy()] + [node.grad.copy() for node in nodes]
+        clip_grad_norm([a], 1e-3)
+        a.grad *= 0.5
+        after = [b.grad] + [node.grad for node in nodes]
+        for old, new in zip(before, after):
+            np.testing.assert_array_equal(old, new)
+
+    def test_sum_of_a_leaf_owns_its_gradient(self):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        a.sum().backward()
+        a.grad += 1.0
+        np.testing.assert_array_equal(a.grad, np.full((2, 3), 2.0))
+
+
 class TestPropertyBased:
     @given(
         st.integers(min_value=1, max_value=4),
@@ -503,6 +614,9 @@ _OPS = {
         mask=a["mask"][:, None, :, :3] & ~np.eye(3, dtype=bool),
     ),
     "gelu_composed": lambda leaf, a: F.gelu_composed(leaf(a["x"])),
+    "mlp": lambda leaf, a: F.mlp(leaf(a["x"]), [(leaf(a["w"].T), leaf(a["bias"])), (leaf(a["w"]), leaf(a["v"]))]),
+    "mlp_composed": lambda leaf, a: _mlp_composed(leaf(a["x"]), leaf(a["w"].T), leaf(a["bias"]), leaf(a["w"]), leaf(a["v"])),
+    "weighted_sum": lambda leaf, a: F.weighted_sum([leaf(a["x"]), leaf(a["y"])], [a["pos"], a["y"] * 0.5]),
     "layer_norm_composed": lambda leaf, a: F.layer_norm_composed(leaf(a["x"]), leaf(a["gamma"]), leaf(a["v"])),
     "lora_linear": lambda leaf, a: F.lora_linear(
         leaf(a["x"]), leaf(a["w"].T), leaf(a["bias"]), leaf(a["lora_a"]), leaf(a["lora_b"]), 1.5
@@ -533,6 +647,12 @@ _OPS = {
     "float16_input": lambda leaf, a: leaf(a["x"].astype(np.float16)) * 3.0,
     "float16_result": lambda leaf, a: leaf(a["ints"]).sqrt(),
 }
+
+
+def _mlp_composed(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Linear → GELU → linear as the composed per-op tape (the oracle of ``F.mlp``)."""
+    with fused_kernels(False):
+        return F.linear(F.gelu(F.linear(x, w1, b1)), w2, b2)
 
 
 def _scatter(rows: Tensor, vector: Tensor, dtype) -> Tensor:
