@@ -37,13 +37,12 @@ from typing import Dict, Iterator, Tuple
 
 #: Metrics that only describe the workload, not its performance, plus the
 #: figures ``benchmarks/test_perf_engine.py`` gates against absolute bounds:
-#: ``max_abs_diff`` and ``loss_rel_diff`` (accuracy figures; a relative diff
-#: of two rounding errors measures nothing) and the deterministic
-#: ``tape_nodes`` counts (lower is better, unlike the rates this script
-#: compares).
+#: ``max_abs_diff`` (an accuracy figure; a relative diff of two rounding
+#: errors measures nothing) and the deterministic ``tape_nodes`` counts
+#: (lower is better, unlike the rates this script compares).
 _INFORMATIONAL = {"iterations", "steps", "sequences", "requests", "ticks", "units",
                   "workers", "trajectories", "poisson_rate_hz", "max_abs_diff",
-                  "loss_rel_diff", "tape_nodes", "reference_tape_nodes"}
+                  "tape_nodes", "reference_tape_nodes"}
 #: Metric-name prefixes that are workload descriptions (histogram buckets).
 _INFORMATIONAL_PREFIXES = ("batch_occ_", "queue_depth_")
 

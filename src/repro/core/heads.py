@@ -111,21 +111,28 @@ class GeneralTaskHeads(Module):
         self.regression_head = MLP(d_model, [hidden], self.regression_dim, rng=rng)
 
     # ------------------------------------------------------------------
-    def classification_logits(self, tokens: Tensor, family: Optional[str] = None) -> Tensor:
-        """Logits over the unified label space (optionally restricted to one family)."""
-        logits = self.classifier(tokens)
+    def classification_logits(
+        self, tokens: Tensor, family: Optional[str] = None, groups: Optional[Sequence[Tuple[int, int]]] = None
+    ) -> Tensor:
+        """Logits over the unified label space (optionally restricted to one family).
+
+        ``groups`` splits the rows of a 2-D ``tokens`` into spans that each
+        get the numbers a separate call would give (see :class:`MLP`), here
+        and in the two other decoders.
+        """
+        logits = self.classifier(tokens, groups)
         if family is None:
             return logits
         restriction = self.label_space.family_slice(family)
         return logits[..., restriction]
 
-    def timestamp_prediction(self, tokens: Tensor) -> Tensor:
+    def timestamp_prediction(self, tokens: Tensor, groups: Optional[Sequence[Tuple[int, int]]] = None) -> Tensor:
         """Predicted time interval(s) in units of time slices (``MLP_t``)."""
-        return self.timestamp_head(tokens)
+        return self.timestamp_head(tokens, groups)
 
-    def regression_prediction(self, tokens: Tensor) -> Tensor:
+    def regression_prediction(self, tokens: Tensor, groups: Optional[Sequence[Tuple[int, int]]] = None) -> Tensor:
         """Predicted dynamic features (``MLP_r``)."""
-        return self.regression_head(tokens)
+        return self.regression_head(tokens, groups)
 
     def forward(self, tokens: Tensor) -> Tuple[Tensor, Tensor, Tensor]:
         """Return all three decoded views of ``tokens``."""

@@ -17,7 +17,7 @@ task-oriented prompt machinery (Sec. V-A), the LoRA-adapted causal backbone
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from repro.data.trajectory import Trajectory
 from repro.nn import functional as F
 from repro.nn import losses
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor, apply_op, no_grad
 from repro.nn import init
 from repro.roadnet.network import RoadNetwork
 from repro.tasks.decoding import (
@@ -57,31 +57,96 @@ def _row_index(rows: List[int]):
     return np.asarray(rows)
 
 
-class _FamilyRows:
-    """The ``[CLAS]`` or ``[REG]`` rows one loss family reads from a batch.
+class _LossFamily:
+    """The rows one term of the multi-task loss reads from a batch.
 
-    ``rows`` index the forward's shared task rows; ``spans`` hold each
-    contributing prompt's ``(start, stop)`` range of them, in prompt order.
+    Each contributing prompt adds its placeholder rows (``batch`` /
+    ``positions`` locate them in the backbone output) and their targets;
+    ``spans`` hold each prompt's ``(start, stop)`` range of the rows and
+    ``prompt_indices`` the prompt, both in prompt order.
     """
 
     def __init__(self) -> None:
-        self.rows: List[int] = []
+        self.batch: List[int] = []
+        self.positions: List[int] = []
         self.targets: List = []
         self.spans: List[Tuple[int, int]] = []
+        self.prompt_indices: List[int] = []
 
-    def add(self, offset: int, indices: List[int], targets) -> None:
-        start = len(self.rows)
-        self.rows.extend(offset + i for i in indices)
+    def add(self, prompt_index: int, positions: List[int], targets) -> None:
+        start = len(self.positions)
+        self.batch.extend([prompt_index] * len(positions))
+        self.positions.extend(positions)
         self.targets.extend(targets)
-        self.spans.append((start, len(self.rows)))
+        self.spans.append((start, len(self.positions)))
+        self.prompt_indices.append(prompt_index)
 
-    def index(self) -> np.ndarray:
-        """A ``(k, 1)`` index: gathering with it gives a ``(k, 1, d_model)`` stack."""
-        return np.asarray(self.rows, dtype=np.int64)[:, None]
+    def same_rows(self, other: "_LossFamily") -> bool:
+        return self.batch == other.batch and self.positions == other.positions
 
-    def stacked_targets(self) -> np.ndarray:
-        """The targets as a ``(k, 1, width)`` array aligned with the head's output."""
-        return np.stack(self.targets)[:, None, :]
+    def rows(self, hidden: Tensor) -> Tensor:
+        """The family's rows of the backbone output, ``(k, d_model)``, as one gather."""
+        return F.gather_rows(hidden, self.batch, self.positions)
+
+
+class _LossTerm(NamedTuple):
+    """One loss family's per-element losses, rows in ``family.spans`` order."""
+
+    key: str
+    family: _LossFamily
+    losses: Tensor
+    weight: float
+    #: A prompt's mean as its sum times ``1/count`` (``Tensor.mean``, so
+    #: :func:`repro.nn.losses.mse_loss`) rather than its sum divided by the
+    #: count (the fused cross-entropy's mean).
+    reciprocal: bool
+
+
+def _mean_of_prompt_terms(terms: Sequence[_LossTerm], num_prompts: int) -> Tuple[Tensor, Dict[str, float]]:
+    """The multi-task loss from per-element loss tensors, as one tape node.
+
+    Every prompt's term is the mean of its span of a family's losses, and
+    the loss is the mean over ``num_prompts`` of the weighted terms summed
+    in prompt order, families in the order of ``terms``: the arithmetic of
+    a per-prompt loop of :func:`repro.nn.losses.cross_entropy` and
+    :func:`repro.nn.losses.mse_loss` calls, so the value and every
+    gradient equal that loop's bit for bit.  Returns the loss and the
+    per-family sums of the terms (with their ``count``) for logging.
+    """
+    entries = sorted(
+        (
+            (prompt_index, rank, span, term)
+            for rank, term in enumerate(terms)
+            for prompt_index, span in zip(term.family.prompt_indices, term.family.spans)
+        ),
+        key=lambda entry: entry[:2],
+    )
+    scale = 1.0 / max(num_prompts, 1)
+    breakdown = {"clas": 0.0, "reg": 0.0, "tim": 0.0, "count": 0.0}
+    total = None
+    for _, _, (start, stop), term in entries:
+        values = term.losses.data[start:stop]
+        mean = values.sum() * (1.0 / values.size) if term.reciprocal else values.mean()
+        weighted = mean * term.weight
+        total = weighted if total is None else total + weighted
+        breakdown[term.key] += float(mean)
+        breakdown["count"] += 1.0
+    if total is None:
+        return Tensor(np.zeros(()), requires_grad=False), breakdown
+
+    def backward(grad: np.ndarray) -> None:
+        scaled = grad * scale
+        buffers = [np.empty(term.losses.shape) for term in terms]
+        for _, rank, (start, stop), term in entries:
+            term_grad = scaled * term.weight
+            size = term.losses.data[start:stop].size
+            mean_grad = term_grad * (1.0 / size) if term.reciprocal else float(term_grad) / size
+            buffers[rank][start:stop] = mean_grad
+        for term, buffer in zip(terms, buffers):
+            if term.losses.requires_grad:
+                term.losses._accumulate_owned(buffer)
+
+    return apply_op(np.asarray(total * scale), [term.losses for term in terms], backward), breakdown
 
 
 @dataclass
@@ -93,11 +158,6 @@ class PromptOutput:
     task_outputs: Tensor
     #: Mean-pooled hidden state over the data (ST-token) positions, ``(d_model,)``.
     pooled: Tensor
-    #: The task rows of every prompt of the forward, ``(R, d_model)``, shared
-    #: by its outputs (``None`` when no prompt has a placeholder), and the
-    #: row of this prompt's first placeholder in it.
-    batch_task_rows: Optional[Tensor] = None
-    task_row_offset: int = 0
 
 
 class BIGCity(Module):
@@ -299,6 +359,11 @@ class BIGCity(Module):
         """Run a batch of prompts through tokenizer, backbone and gather ``Z``."""
         if not prompts:
             return []
+        hidden, layouts = self._forward_hidden(prompts, traffic_override)
+        return self._collect_outputs(prompts, layouts, hidden, self.config.d_model)
+
+    def _forward_hidden(self, prompts: Sequence[Prompt], traffic_override: Optional[np.ndarray]):
+        """Tokenize, assemble and run a non-empty batch: the backbone output and the prompt layouts."""
         needs_static = any(
             anchor is not None and anchor.kind == "partial" and anchor.segment_id is not None
             for prompt in prompts
@@ -315,10 +380,7 @@ class BIGCity(Module):
         batch_embeddings, padding_mask, layouts = self._assemble_prompt_batch(
             prompts, st_token_list, static_cache
         )
-
-        hidden = self.backbone(batch_embeddings, padding_mask=padding_mask)
-
-        return self._collect_outputs(prompts, layouts, hidden, self.config.d_model)
+        return self.backbone(batch_embeddings, padding_mask=padding_mask), layouts
 
     def _collect_outputs(self, prompts, layouts, hidden: Tensor, d_model: int) -> List[PromptOutput]:
         """Pull task/data rows out of the backbone output with TWO gather nodes.
@@ -360,15 +422,7 @@ class BIGCity(Module):
                 pooled = all_data[data_start:data_stop].mean(axis=0)
             else:
                 pooled = Tensor(np.zeros(d_model))
-            outputs.append(
-                PromptOutput(
-                    prompt=prompt,
-                    task_outputs=task_outputs,
-                    pooled=pooled,
-                    batch_task_rows=all_task,
-                    task_row_offset=task_start,
-                )
-            )
+            outputs.append(PromptOutput(prompt=prompt, task_outputs=task_outputs, pooled=pooled))
         return outputs
 
     # ------------------------------------------------------------------
@@ -383,69 +437,51 @@ class BIGCity(Module):
         ``lambda_tim``; a term whose targets are missing, empty or not one
         per placeholder is left out.  The loss is the mean over prompts.
 
-        Every family runs once per batch: all ``[CLAS]`` rows are gathered
-        into one ``(k, 1, d_model)`` stack for one classifier and one
-        cross-entropy call, all ``[REG]`` rows likewise for the regression
-        and timestamp heads, and the per-prompt means become one weighted
-        reduction.  Returns the scalar loss tensor plus a breakdown
-        dictionary with float values (for logging): the per-prompt term
-        means summed per family, the number of terms and the total.
+        Every family runs once per batch: its rows of all prompts are
+        gathered from the backbone output into one ``(k, d_model)`` stack
+        for one head call and one loss call (the regression and timestamp
+        heads share the ``[REG]`` stack when both read the same rows), and
+        the per-prompt means and the batch mean are one node,
+        :func:`_mean_of_prompt_terms`.  The heads take each prompt's span of
+        the stack as a row group, so the values and gradients equal a loop
+        that runs the heads and losses prompt by prompt
+        (:func:`repro.eval.perfbench.reference_prompt_loss`) bit for bit.
+        Returns the scalar loss tensor plus a breakdown dictionary with
+        float values (for logging): the per-prompt terms summed per family,
+        the number of terms and the total.
         """
-        outputs = self.forward_prompts(prompts, traffic_override=traffic_override)
-        clas, reg, tim = _FamilyRows(), _FamilyRows(), _FamilyRows()
-        for output in outputs:
-            prompt, offset = output.prompt, output.task_row_offset
-            clas_indices = [i for i, kind in enumerate(prompt.placeholders) if kind == CLAS]
-            reg_indices = [i for i, kind in enumerate(prompt.placeholders) if kind == REG]
+        clas, reg, tim = _LossFamily(), _LossFamily(), _LossFamily()
+        hidden, layouts = self._forward_hidden(prompts, traffic_override) if prompts else (None, [])
+        for index, (prompt, (task_positions, _)) in enumerate(zip(prompts, layouts)):
+            clas_positions = [row for row, kind in zip(task_positions, prompt.placeholders) if kind == CLAS]
+            reg_positions = [row for row, kind in zip(task_positions, prompt.placeholders) if kind == REG]
             targets = [t for t in prompt.classification_targets if t >= 0]
-            if clas_indices and len(targets) == len(clas_indices):
-                clas.add(offset, clas_indices, targets)
+            if clas_positions and len(targets) == len(clas_positions):
+                clas.add(index, clas_positions, targets)
             values = [np.asarray(t, dtype=np.float64) for t in prompt.regression_targets]
-            if reg_indices and len(values) == len(reg_indices) and all(t.size for t in values):
-                normalised = np.stack([self.normalise_traffic(t) for t in values])
-                reg.add(offset, reg_indices, np.broadcast_to(normalised, (len(values), self.heads.regression_dim)))
-            if reg_indices and len(prompt.timestamp_targets) == len(reg_indices):
+            if reg_positions and len(values) == len(reg_positions) and all(t.size for t in values):
+                reg.add(index, reg_positions, [self.normalise_traffic(t) for t in values])
+            if reg_positions and len(prompt.timestamp_targets) == len(reg_positions):
                 intervals = np.asarray(prompt.timestamp_targets, dtype=np.float64) / self.time_scale
-                tim.add(offset, reg_indices, intervals[:, None])
+                tim.add(index, reg_positions, intervals)
 
-        breakdown = {"clas": 0.0, "reg": 0.0, "tim": 0.0, "count": 0.0}
-        scale = 1.0 / max(len(outputs), 1)
-        terms: List[Tensor] = []
-        weights: List[np.ndarray] = []
-
-        def add_term(key: str, family: "_FamilyRows", per_row: Tensor, weight: float) -> None:
-            # One weight per element: each prompt's mean over its rows, scaled by
-            # the family weight and the 1/len(prompts) of the batch mean.
-            row_weights = np.empty(per_row.shape)
-            for start, stop in family.spans:
-                values = per_row.data[start:stop]
-                row_weights[start:stop] = weight * scale / values.size
-                breakdown[key] += float(values.sum() / values.size)
-            breakdown["count"] += len(family.spans)
-            terms.append(per_row)
-            weights.append(row_weights)
-
-        rows = outputs[0].batch_task_rows if outputs else None
+        terms: List[_LossTerm] = []
         if clas.spans:
-            logits = self.heads.classification_logits(rows[clas.index()])
-            targets = np.asarray(clas.targets, dtype=np.int64)
-            add_term("clas", clas, losses.cross_entropy(logits, targets, reduction="none"), 1.0)
-        reg_rows = rows[reg.index()] if reg.spans else None
+            logits = self.heads.classification_logits(clas.rows(hidden), groups=clas.spans)
+            per_row = losses.cross_entropy(logits, np.asarray(clas.targets, dtype=np.int64), reduction="none")
+            terms.append(_LossTerm("clas", clas, per_row, 1.0, reciprocal=False))
+        reg_rows = reg.rows(hidden) if reg.spans else None
         if reg.spans:
-            predictions = self.heads.regression_prediction(reg_rows)
-            per_row = losses.mse_loss(predictions, reg.stacked_targets(), reduction="none")
-            add_term("reg", reg, per_row, self.config.lambda_reg)
+            predictions = self.heads.regression_prediction(reg_rows, groups=reg.spans)
+            per_element = losses.mse_loss(predictions, np.stack(reg.targets), reduction="none")
+            terms.append(_LossTerm("reg", reg, per_element, self.config.lambda_reg, reciprocal=True))
         if tim.spans:
-            # Stage-1 prompts regress both from the same [REG] rows: one gather serves both heads.
-            tim_rows = reg_rows if reg_rows is not None and reg.rows == tim.rows else rows[tim.index()]
-            predictions = self.heads.timestamp_prediction(tim_rows)
-            per_row = losses.mse_loss(predictions, tim.stacked_targets(), reduction="none")
-            add_term("tim", tim, per_row, self.config.lambda_tim)
+            rows = reg_rows if reg_rows is not None and reg.same_rows(tim) else tim.rows(hidden)
+            predictions = self.heads.timestamp_prediction(rows, groups=tim.spans).reshape(len(tim.positions))
+            per_element = losses.mse_loss(predictions, np.asarray(tim.targets), reduction="none")
+            terms.append(_LossTerm("tim", tim, per_element, self.config.lambda_tim, reciprocal=True))
 
-        if terms:
-            total = F.weighted_sum(terms, weights)
-        else:
-            total = Tensor(np.zeros(()), requires_grad=False)
+        total, breakdown = _mean_of_prompt_terms(terms, len(prompts))
         breakdown["total"] = float(total.item())
         return total, breakdown
 

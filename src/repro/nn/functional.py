@@ -316,7 +316,11 @@ def gelu_backward(grad: np.ndarray, x: np.ndarray, x_sq: np.ndarray, tanh_inner:
     return sech2
 
 
-def mlp(x: Tensor, layers: Sequence[Tuple[Tensor, Optional[Tensor]]]) -> Tensor:
+def mlp(
+    x: Tensor,
+    layers: Sequence[Tuple[Tensor, Optional[Tensor]]],
+    groups: Optional[Sequence[Tuple[int, int]]] = None,
+) -> Tensor:
     """Linear → GELU → ... → Linear (``layers`` = ``(weight, bias)`` pairs) as one tape node.
 
     The forward runs :func:`linear_forward` and :func:`gelu_forward`, the
@@ -324,14 +328,28 @@ def mlp(x: Tensor, layers: Sequence[Tuple[Tensor, Optional[Tensor]]]) -> Tensor:
     equal the per-layer kernels bit for bit; the backward is theirs in
     reverse order, with each layer's ``(weight, bias)`` gradient computed
     as :func:`fused_linear` computes it.
+
+    ``groups`` splits the rows of a 2-D ``x`` into ``(start, stop)`` spans
+    that make the products a separate call per span would make: every
+    span's outputs and input gradients are that call's bit for bit, and the
+    weight and bias gradients are summed span by span, in order, as the
+    calls' backward passes would sum them.  A stack of several callers'
+    rows thus runs as one node without changing any caller's numbers.
     """
+    spans = None if groups is None else [slice(start, stop) for start, stop in groups]
+
+    def per_span(fn, *arrays):
+        if spans is None:
+            return fn(*arrays)
+        return np.concatenate([fn(*(array[span] for array in arrays)) for span in spans])
+
     inputs = []
     saved = []
     h = x.data
     last = len(layers) - 1
     for index, (weight, bias) in enumerate(layers):
         inputs.append(h)
-        h = linear_forward(h, weight.data, None if bias is None else bias.data)
+        h = per_span(lambda rows: linear_forward(rows, weight.data, None if bias is None else bias.data), h)
         if index < last:
             pre = h
             h, x_sq, tanh_inner = gelu_forward(pre)
@@ -341,16 +359,18 @@ def mlp(x: Tensor, layers: Sequence[Tuple[Tensor, Optional[Tensor]]]) -> Tensor:
         for index in range(last, -1, -1):
             weight, bias = layers[index]
             layer_input = inputs[index]
-            flat_grad = grad.reshape(-1, grad.shape[-1])
-            if weight.requires_grad:
-                weight._accumulate_owned(flat_grad.T @ layer_input.reshape(-1, layer_input.shape[-1]))
-            if bias is not None and bias.requires_grad:
-                bias._accumulate_owned(flat_grad.sum(axis=0))
+            for span in [slice(None)] if spans is None else spans:
+                span_grad, span_input = grad[span], layer_input[span]
+                flat_grad = span_grad.reshape(-1, span_grad.shape[-1])
+                if weight.requires_grad:
+                    weight._accumulate_owned(flat_grad.T @ span_input.reshape(-1, span_input.shape[-1]))
+                if bias is not None and bias.requires_grad:
+                    bias._accumulate_owned(flat_grad.sum(axis=0))
             if index == 0:
                 if x.requires_grad:
-                    x._accumulate_owned(grad @ weight.data)
+                    x._accumulate_owned(per_span(lambda rows: rows @ weight.data, grad))
                 return
-            grad = gelu_backward(grad @ weight.data, *saved[index - 1])
+            grad = gelu_backward(per_span(lambda rows: rows @ weight.data, grad), *saved[index - 1])
 
     parents = [x]
     for weight, bias in layers:
@@ -358,26 +378,6 @@ def mlp(x: Tensor, layers: Sequence[Tuple[Tensor, Optional[Tensor]]]) -> Tensor:
         if bias is not None:
             parents.append(bias)
     return apply_op(h, parents, backward)
-
-
-def weighted_sum(terms: Sequence[Tensor], weights: Sequence[np.ndarray]) -> Tensor:
-    """``Σ_i sum(terms[i] * weights[i])`` as one scalar tape node.
-
-    A multi-term loss as one weighted reduction: ``weights[i]`` has the
-    shape of ``terms[i]`` and the backward hands term ``i`` the gradient
-    ``weights[i] * grad``.
-    """
-    total = 0.0
-    for term, weight in zip(terms, weights):
-        total += float((term.data * weight).sum())
-
-    def backward(grad: np.ndarray) -> None:
-        scale = float(np.asarray(grad).reshape(()))
-        for term, weight in zip(terms, weights):
-            if term.requires_grad:
-                term._accumulate_owned(weight * scale)
-
-    return apply_op(np.asarray(total), terms, backward)
 
 
 def gelu_composed(x: Tensor) -> Tensor:

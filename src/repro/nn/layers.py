@@ -94,7 +94,9 @@ class MLP(Module):
     The paper uses MLPs in the temporal-integration module of the tokenizer
     (Eq. 8) and as the general-task heads (Eq. 11).  With the fused kernels
     the whole stack is one tape node (:func:`repro.nn.functional.mlp`);
-    under ``fused_kernels(False)`` it runs layer by layer.
+    under ``fused_kernels(False)``, or once a layer has been replaced by a
+    module other than :class:`Linear` / :class:`GELU`, it runs module by
+    module.
     """
 
     def __init__(
@@ -115,10 +117,23 @@ class MLP(Module):
         self.in_features = in_features
         self.out_features = out_features
 
-    def forward(self, x: Tensor) -> Tensor:
-        if fused_enabled():
-            return F.mlp(x, [(layer.weight, layer.bias) for layer in self.layers if isinstance(layer, Linear)])
-        return self.layers(x)
+    def forward(self, x: Tensor, groups: Optional[Sequence[Tuple[int, int]]] = None) -> Tensor:
+        """Apply the MLP to ``x``.
+
+        ``groups`` (``(start, stop)`` row spans of a 2-D ``x``) gives every
+        span the values and gradients of a separate call on its rows; see
+        :func:`repro.nn.functional.mlp`.
+        """
+        linears, activations = self.layers[0::2], self.layers[1::2]
+        if (
+            fused_enabled()
+            and all(type(layer) is Linear for layer in linears)
+            and all(type(layer) is GELU for layer in activations)
+        ):
+            return F.mlp(x, [(layer.weight, layer.bias) for layer in linears], groups)
+        if groups is None:
+            return self.layers(x)
+        return Tensor.concat([self.layers(x[start:stop]) for start, stop in groups], axis=0)
 
 
 def _as_sequential(layers) -> "Sequential":

@@ -37,73 +37,30 @@ class Adam:
         self.weight_decay = weight_decay
         self._m: Dict[int, np.ndarray] = {}
         self._v: Dict[int, np.ndarray] = {}
-        self._flat_key: tuple = ()
-        self._flat_m = self._flat_v = np.zeros(0)
 
     def zero_grad(self) -> None:
         for param in self.parameters:
             param.grad = None
 
     def step(self) -> None:
-        """Update every parameter that has a gradient and requires grad.
-
-        The update runs as one elementwise pass over the live parameters
-        concatenated: element for element the same arithmetic as a loop
-        over the parameters, in a handful of NumPy calls instead of a
-        dozen per parameter.
-        """
         self._step_count += 1
         t = self._step_count
-        live = [param for param in self.parameters if param.grad is not None and param.requires_grad]
-        if not live:
-            return
-        grad = np.concatenate([param.grad.reshape(-1) for param in live])
-        if self.weight_decay:
-            grad = grad + self.weight_decay * np.concatenate([param.data.reshape(-1) for param in live])
-        m, v = self._flat_moments(live)
-        m *= self.beta1
-        m += (1 - self.beta1) * grad
-        v *= self.beta2
-        v += (1 - self.beta2) * grad**2
-        m_hat = m / (1 - self.beta1**t)
-        v_hat = v / (1 - self.beta2**t)
-        update = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-        offset = 0
-        for param in live:
-            size = param.data.size
-            delta = update[offset : offset + size].reshape(param.data.shape)
-            param.data = (param.data - delta).astype(param.data.dtype, copy=False)
-            offset += size
-
-    def _flat_moments(self, live: List[Parameter]):
-        """The float64 moments of ``live`` as two flat buffers, in its order.
-
-        ``_m`` / ``_v`` hold each parameter's moments as views of the
-        buffers.  When the set of live parameters changes (a batch that
-        gives some parameter no gradient), the buffers are rebuilt from
-        those views, with zeros for a parameter's first update; a parameter
-        that sits a step out keeps its moments unchanged.
-        """
-        key = tuple(id(param) for param in live)
-        if key != self._flat_key:
-
-            def flat(store: Dict[int, np.ndarray]) -> np.ndarray:
-                return np.concatenate(
-                    [
-                        store[id(param)].reshape(-1) if id(param) in store else np.zeros(param.data.size)
-                        for param in live
-                    ]
-                )
-
-            self._flat_m, self._flat_v = flat(self._m), flat(self._v)
-            offset = 0
-            for param in live:
-                size = param.data.size
-                self._m[id(param)] = self._flat_m[offset : offset + size].reshape(param.data.shape)
-                self._v[id(param)] = self._flat_v[offset : offset + size].reshape(param.data.shape)
-                offset += size
-            self._flat_key = key
-        return self._flat_m, self._flat_v
+        for param in self.parameters:
+            if param.grad is None or not param.requires_grad:
+                continue
+            grad = param.grad
+            if self.weight_decay:
+                grad = grad + self.weight_decay * param.data
+            m = self._m.get(id(param), np.zeros_like(param.data, dtype=np.float64))
+            v = self._v.get(id(param), np.zeros_like(param.data, dtype=np.float64))
+            m = self.beta1 * m + (1 - self.beta1) * grad
+            v = self.beta2 * v + (1 - self.beta2) * grad**2
+            self._m[id(param)] = m
+            self._v[id(param)] = v
+            m_hat = m / (1 - self.beta1**t)
+            v_hat = v / (1 - self.beta2**t)
+            update = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            param.data = (param.data - update).astype(param.data.dtype, copy=False)
 
 
 def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:

@@ -460,7 +460,12 @@ def _edge_prompts(prompts):
 
 
 class TestFamilyBatchedLoss:
-    """``prompt_loss`` (one head and loss call per family) against the per-prompt oracle."""
+    """``prompt_loss`` (one head and loss call per family) against the per-prompt oracle.
+
+    The oracle's per-prompt loop is the loss of earlier versions: with the
+    fused kernels every number must match it bit for bit, so training
+    follows the same trajectory it followed before the batching.
+    """
 
     @staticmethod
     def _pool(model, dataset, rng):
@@ -533,11 +538,20 @@ class TestFamilyBatchedLoss:
             for name in outputs:
                 np.testing.assert_array_equal(outputs[name], ref_outputs[name], err_msg=name)
             assert loss.requires_grad == ref_loss.requires_grad
-            np.testing.assert_allclose(float(loss.data), float(ref_loss.data), rtol=1e-12, atol=0.0)
             assert breakdown.keys() == ref_breakdown.keys()
+            assert grads.keys() == ref_grads.keys()
+            if fused:
+                # The training kernels: the same arithmetic in the same order.
+                assert float(loss.data) == float(ref_loss.data)
+                assert breakdown == ref_breakdown
+                for key in grads:
+                    np.testing.assert_array_equal(grads[key], ref_grads[key], err_msg=key)
+                continue
+            # The composed cross-entropy takes its mean as a sum times 1/n,
+            # the batched loss as a division: the last bits may differ.
+            np.testing.assert_allclose(float(loss.data), float(ref_loss.data), rtol=1e-12, atol=0.0)
             for key in breakdown:
                 np.testing.assert_allclose(breakdown[key], ref_breakdown[key], rtol=1e-12, atol=0.0, err_msg=key)
-            assert grads.keys() == ref_grads.keys()
             scale = max((float(np.abs(g).max()) for g in ref_grads.values()), default=0.0)
             for key in grads:
                 np.testing.assert_allclose(grads[key], ref_grads[key], rtol=1e-12, atol=1e-12 * scale, err_msg=key)

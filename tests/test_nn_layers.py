@@ -48,6 +48,61 @@ class TestLinearAndMLP:
         mlp = MLP(4, [8, 8], 2)
         assert mlp(Tensor(np.ones((3, 4)))).shape == (3, 2)
 
+    @staticmethod
+    def _grads(mlp, inputs, run):
+        mlp.zero_grad()
+        x = Tensor(inputs, requires_grad=True)
+        out = run(x)
+        out.backward(np.cos(np.arange(out.data.size, dtype=np.float64)).reshape(out.shape))
+        return out.data, x.grad, [p.grad.copy() for p in mlp.parameters()]
+
+    @pytest.mark.parametrize("fused", [True, False])
+    @pytest.mark.parametrize("groups", [[(0, 1)], [(0, 3), (3, 4), (4, 7)], [(0, 2), (2, 7)]])
+    def test_row_groups_equal_one_call_per_group_bit_for_bit(self, fused, groups):
+        # Gradients of the separate calls accumulate call by call, in order:
+        # the grouped call must sum its weight gradients the same way.
+        mlp = MLP(4, [6], 3, rng=np.random.default_rng(1))
+        inputs = np.random.default_rng(2).standard_normal((groups[-1][1], 4))
+
+        def separate(x):
+            return Tensor.concat([mlp(x[start:stop]) for start, stop in groups], axis=0)
+
+        with fused_kernels(fused):
+            grouped = self._grads(mlp, inputs, lambda x: mlp(x, groups))
+            expected = self._grads(mlp, inputs, separate)
+        np.testing.assert_array_equal(grouped[0], expected[0])
+        np.testing.assert_array_equal(grouped[1], expected[1])
+        for got, want in zip(grouped[2], expected[2]):
+            np.testing.assert_array_equal(got, want)
+
+    def test_fused_mlp_is_one_node_with_the_layerwise_values(self):
+        mlp = MLP(4, [6, 5], 3, rng=np.random.default_rng(3))
+        inputs = np.random.default_rng(4).standard_normal((2, 3, 4))
+        fused = self._grads(mlp, inputs, mlp)
+        layerwise = self._grads(mlp, inputs, mlp.layers)
+        assert len(mlp(Tensor(inputs, requires_grad=True))._parents) == 1 + len(mlp.parameters())
+        np.testing.assert_array_equal(fused[0], layerwise[0])
+        np.testing.assert_array_equal(fused[1], layerwise[1])
+        for got, want in zip(fused[2], layerwise[2]):
+            np.testing.assert_array_equal(got, want)
+
+    def test_a_replaced_layer_takes_the_module_path(self):
+        # A layer swapped for another module (here a LoRA wrapper) must still
+        # run: the fused node only covers plain Linear / GELU stacks.
+        from repro.nn.lora import LoRALinear
+
+        mlp = MLP(4, [6], 3, rng=np.random.default_rng(5))
+        x = Tensor(np.random.default_rng(6).standard_normal((5, 4)))
+        lora = LoRALinear(mlp.layers[2], rank=2, rng=np.random.default_rng(7))
+        lora.lora_b.data = np.random.default_rng(8).standard_normal(lora.lora_b.shape)
+        mlp.layers._items[2] = lora
+        expected = lora(mlp.layers[1](mlp.layers[0](x))).data
+        np.testing.assert_array_equal(mlp(x).data, expected)
+        np.testing.assert_array_equal(
+            mlp(x, [(0, 2), (2, 5)]).data,
+            np.concatenate([lora(mlp.layers[1](mlp.layers[0](x[a:b]))).data for a, b in [(0, 2), (2, 5)]]),
+        )
+
 
 class TestEmbedding:
     def test_lookup_shape(self):

@@ -269,38 +269,6 @@ class TestOptimisers:
         assert all(m.dtype == np.float64 for m in optimizer._m.values())
         assert all(v.dtype == np.float64 for v in optimizer._v.values())
 
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
-    def test_flat_update_equals_the_per_parameter_formula_bit_for_bit(self, weight_decay):
-        rng = np.random.default_rng(11)
-        shapes = [(3, 4), (4,), (2, 2, 3), (1,)]
-        params = [Parameter(rng.standard_normal(shape)) for shape in shapes]
-        reference = [p.data.copy() for p in params]
-        moments = [[np.zeros(shape), np.zeros(shape)] for shape in shapes]
-        optimizer = Adam(params, lr=0.05, weight_decay=weight_decay)
-        beta1, beta2 = optimizer.beta1, optimizer.beta2
-        for t in range(1, 9):
-            # Some steps leave a parameter without a gradient: its moments
-            # and weights must sit the step out.
-            grads = [None if (t + i) % 3 == 0 else rng.standard_normal(shape) for i, shape in enumerate(shapes)]
-            for param, grad in zip(params, grads):
-                param.grad = grad
-            optimizer.step()
-            for i, grad in enumerate(grads):
-                if grad is None:
-                    continue
-                if weight_decay:
-                    grad = grad + weight_decay * reference[i]
-                m, v = moments[i]
-                m = beta1 * m + (1 - beta1) * grad
-                v = beta2 * v + (1 - beta2) * grad**2
-                moments[i] = [m, v]
-                update = 0.05 * (m / (1 - beta1**t)) / (np.sqrt(v / (1 - beta2**t)) + optimizer.eps)
-                reference[i] = reference[i] - update
-            for param, expected, (m, v) in zip(params, reference, moments):
-                np.testing.assert_array_equal(param.data, expected)
-                np.testing.assert_array_equal(optimizer._m.get(id(param), np.zeros_like(m)), m)
-                np.testing.assert_array_equal(optimizer._v.get(id(param), np.zeros_like(v)), v)
-
     def test_empty_parameter_list_rejected(self):
         with pytest.raises(ValueError):
             Adam([], lr=0.1)

@@ -616,7 +616,9 @@ _OPS = {
     "gelu_composed": lambda leaf, a: F.gelu_composed(leaf(a["x"])),
     "mlp": lambda leaf, a: F.mlp(leaf(a["x"]), [(leaf(a["w"].T), leaf(a["bias"])), (leaf(a["w"]), leaf(a["v"]))]),
     "mlp_composed": lambda leaf, a: _mlp_composed(leaf(a["x"]), leaf(a["w"].T), leaf(a["bias"]), leaf(a["w"]), leaf(a["v"])),
-    "weighted_sum": lambda leaf, a: F.weighted_sum([leaf(a["x"]), leaf(a["y"])], [a["pos"], a["y"] * 0.5]),
+    "mlp_groups": lambda leaf, a: F.mlp(
+        leaf(a["y"]), [(leaf(a["w"].T), leaf(a["bias"])), (leaf(a["w"]), leaf(a["v"]))], groups=[(0, 1), (1, 3)]
+    ),
     "layer_norm_composed": lambda leaf, a: F.layer_norm_composed(leaf(a["x"]), leaf(a["gamma"]), leaf(a["v"])),
     "lora_linear": lambda leaf, a: F.lora_linear(
         leaf(a["x"]), leaf(a["w"].T), leaf(a["bias"]), leaf(a["lora_a"]), leaf(a["lora_b"]), 1.5
