@@ -57,8 +57,8 @@ the slice with the same per-row function as the grad path (about twice
 the time of one N-row GEMM pass, paid once per slice): a batched fill only
 raised a long-running server's peak memory.  Every weight writer in the package (optimisers,
 ``load_state_dict``, transfer) assigns a new ``Parameter.data`` array; the
-memo is dropped when any of those arrays, the kernel path or the
-registered traffic changes.  An in-place write into a
+memo is dropped when any of those arrays or the registered traffic
+changes.  An in-place write into a
 parameter array is not detected.
 """
 
@@ -78,7 +78,7 @@ from repro.nn.attention import CrossAttentionPool
 from repro.nn.gat import GAT, attention_blocked
 from repro.nn.layers import MLP, Embedding, Linear
 from repro.nn.module import Module, WeightMemo
-from repro.nn.tensor import Tensor, fused_enabled, is_grad_enabled
+from repro.nn.tensor import Tensor, is_grad_enabled
 from repro.roadnet.network import RoadNetwork
 
 
@@ -137,7 +137,7 @@ class SpatioTemporalTokenizer(Module):
             self.segment_id_embedding = None
 
         #: static (key ``"static"``) and per-slice fused representations,
-        #: kept for the weights and kernel path they were computed with.
+        #: kept for the weights they were computed with.
         self._memo = WeightMemo(self)
         self._traffic_normalised: Optional[np.ndarray] = None
         self._traffic_mean: Optional[np.ndarray] = None
@@ -233,13 +233,13 @@ class SpatioTemporalTokenizer(Module):
     def _live_memo(self) -> Optional[Dict[str, object]]:
         """The representation memo, or ``None`` while a gradient can reach the tokenizer.
 
-        The memo is emptied first when a parameter array or the kernel path
-        differs from the ones its entries were computed with
-        (``set_traffic_states`` empties it too).
+        The memo is emptied first when a parameter array differs from the
+        ones its entries were computed with (``set_traffic_states`` empties
+        it too).
         """
         if is_grad_enabled() and any(p.requires_grad for p in self.cached_parameters()):
             return None
-        return self._memo.get(dict, fused_enabled())
+        return self._memo.get(dict)
 
     def static_representations(self) -> Optional[Tensor]:
         """``H^(s)``: static representation of every segment (Eq. 4).

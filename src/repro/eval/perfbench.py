@@ -46,11 +46,13 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro.nn import attention
 from repro.nn import functional as F
 from repro.nn import losses
 from repro.nn import tensor as tensor_module
+from repro.nn.layers import MLP, LayerNorm
 from repro.nn.lora import LoRALinear, attach_lora
-from repro.nn.tensor import Tensor, fused_kernels, no_grad
+from repro.nn.tensor import Tensor, no_grad
 from repro.nn.transformer import GPT2Config, GPT2Model
 
 __all__ = [
@@ -60,6 +62,7 @@ __all__ = [
     "write_report",
     "config_hash",
     "reference_city_build",
+    "reference_kernels",
     "reference_prompt_loss",
     "reference_tokenizer",
     "datasets_identical",
@@ -434,7 +437,6 @@ def bench_train_step(config: PerfBenchConfig) -> Dict[str, float]:
     from repro.core.tokenizer import SpatioTemporalTokenizer
     from repro.core.training import TrainingConfig, assemble_stage1_prompts
     from repro.data.datasets import load_dataset
-    from repro.nn.layers import MLP
 
     dataset = load_dataset(_DATASET_PRESET, seed=config.seed)
     model = BIGCity.from_dataset(dataset, config=BIGCityConfig.tiny())
@@ -454,7 +456,7 @@ def bench_train_step(config: PerfBenchConfig) -> Dict[str, float]:
     def reference():
         patches = [
             (F, "lora_linear", F.lora_linear_composed),
-            (MLP, "forward", _layerwise_mlp_forward),
+            (MLP, "forward", MLP.forward_layerwise),
             (BIGCity, "prompt_loss", reference_prompt_loss),
         ]
         with reference_tokenizer(), _patched(patches):
@@ -494,17 +496,6 @@ def bench_train_step(config: PerfBenchConfig) -> Dict[str, float]:
 
 
 _HEAD_METHODS = ("classification_logits", "regression_prediction", "timestamp_prediction")
-
-
-def _layerwise_mlp_forward(self, x: Tensor, groups=None) -> Tensor:
-    """``MLP.forward`` as one tape node per layer (the fused linear and GELU kernels).
-
-    The reference loss runs the heads prompt by prompt, so no call passes
-    row groups.
-    """
-    if groups is not None:
-        raise ValueError("the layer-by-layer reference MLP takes no row groups")
-    return self.layers(x)
 
 
 class _UnmergedLoRA(LoRALinear):
@@ -650,8 +641,9 @@ def bench_forward_backward(config: PerfBenchConfig) -> Dict[str, float]:
     Both variants run the identical GPT-2 stack and softmax cross-entropy
     loss; the only difference is the engine path — single fused tape nodes
     (block-causal attention, fused layer-norm/GELU/linear/cross-entropy)
-    against the composed multi-node formulation the engine originally used.
-    The ratio is therefore exactly the engine speedup.
+    against the composed multi-node formulation the engine originally used,
+    run inside :func:`reference_kernels`.  The ratio is therefore exactly
+    the engine speedup.
     """
     model = _build_model(
         config.d_model, config.num_layers, config.num_heads, max(512, config.seq_len + 8), config.seed
@@ -670,15 +662,11 @@ def bench_forward_backward(config: PerfBenchConfig) -> Dict[str, float]:
         loss = losses.cross_entropy(hidden.reshape(-1, config.d_model), targets)
         loss.backward()
 
-    def run_fused() -> None:
-        with fused_kernels(True):
-            run_once()
-
     def run_composed() -> None:
-        with fused_kernels(False):
+        with reference_kernels():
             run_once()
 
-    timing = _paired_best(run_composed, run_fused, config.samples)
+    timing = _paired_best(run_composed, run_once, config.samples)
     composed_s, fused_s = timing["baseline_s"], timing["optimised_s"]
     return {
         "fused_s": fused_s,
@@ -1274,6 +1262,44 @@ def reference_tokenizer():
             (functional, "graph_attention", functional.graph_attention_composed),
         ]
     ):
+        yield
+
+
+def _reference_kernel_patches() -> List:
+    """``(owner, name, oracle)``: every fused-kernel dispatch point and the composed formulation it replaced."""
+    from repro.core.tokenizer import SpatioTemporalTokenizer
+
+    return [
+        (F, "linear", F.linear_composed),
+        (F, "gelu", Tensor.gelu),
+        (F, "lora_linear", F.lora_linear_composed),
+        (F, "cross_attention_rows", F.cross_attention_rows_composed),
+        (F, "graph_attention", F.graph_attention_composed),
+        (LayerNorm, "forward", lambda self, x: F.layer_norm_composed(x, self.weight, self.bias, eps=self.eps)),
+        (MLP, "forward", MLP.forward_layerwise),
+        (losses, "cross_entropy", losses.cross_entropy_composed),
+        (attention, "attend", attention.attend_composed),
+        # The module path under no_grad too, and no tokenizer memo read or filled.
+        (GPT2Model, "_inference_plan", lambda self: None),
+        (SpatioTemporalTokenizer, "_live_memo", lambda self: None),
+    ]
+
+
+@contextlib.contextmanager
+def reference_kernels():
+    """Run the engine on the composed formulations its fused kernels replaced.
+
+    Inside the block every linear, GELU, unmerged LoRA layer, fusion row,
+    GAT attention, layer norm, MLP, cross-entropy and multi-head attention
+    records the multi-node tape (or, for GELU, the one-node
+    :meth:`Tensor.gelu`) the engine originally recorded, ``GPT2Model``
+    runs module by module under ``no_grad`` too, and the tokenizer's
+    representation memo is neither read nor filled, so fused and composed
+    answers never mix.  It is the baseline of the ``forward_backward``
+    benchmark and the oracle of every fused == composed test.  It patches
+    process-wide attributes: run nothing else concurrently.
+    """
+    with _patched(_reference_kernel_patches()):
         yield
 
 

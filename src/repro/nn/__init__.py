@@ -18,8 +18,6 @@ from repro.nn.tensor import (
     Tensor,
     no_grad,
     is_grad_enabled,
-    fused_kernels,
-    fused_enabled,
 )
 from repro.nn import functional
 from repro.nn.attention import KVCache
@@ -54,8 +52,6 @@ __all__ = [
     "Tensor",
     "no_grad",
     "is_grad_enabled",
-    "fused_kernels",
-    "fused_enabled",
     "KVCache",
     "functional",
     "Module",

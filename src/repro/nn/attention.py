@@ -9,7 +9,7 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn.layers import Linear
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, fused_enabled, is_grad_enabled
+from repro.nn.tensor import Tensor, is_grad_enabled
 
 
 class KVCache:
@@ -79,7 +79,7 @@ def attention_mask(
     kv_len: int,
     offset: int = 0,
 ) -> Tuple[Optional[np.ndarray], bool]:
-    """The fused path's attention mask: ``(mask, is_causal)``.
+    """The attention mask of :func:`attend`: ``(mask, is_causal)``.
 
     Unpadded causal attention passes only a flag (the kernel exploits the
     mask's triangular structure instead of materialising it); otherwise
@@ -100,6 +100,38 @@ def attention_mask(
     if causal_mask is not None:
         mask = causal_mask if mask is None else (mask | causal_mask)
     return mask, False
+
+
+def attend(
+    q: Tensor, k: Tensor, v: Tensor, causal: bool, padding_mask: Optional[np.ndarray], offset: int, scale: float
+) -> Tensor:
+    """Attention of split heads ``(batch, heads, len, head_dim)`` as one fused tape node.
+
+    ``offset`` is the number of cached key positions before the queries;
+    the mask comes from :func:`attention_mask`.
+    """
+    mask, is_causal = attention_mask(causal, padding_mask, q.shape[2], k.shape[2], offset)
+    return F.scaled_dot_product_attention(q, k, v, mask=mask, scale=scale, is_causal=is_causal)
+
+
+def attend_composed(
+    q: Tensor, k: Tensor, v: Tensor, causal: bool, padding_mask: Optional[np.ndarray], offset: int, scale: float
+) -> Tensor:
+    """:func:`attend` from tape ops, as the original engine ran it (its reference).
+
+    A fresh ``(1, 1, q_len, kv_len)`` mask is built and scanned every call,
+    and the scores, mask, softmax and weighted sum are separate nodes.
+    """
+    q_len, kv_len = q.shape[2], k.shape[2]
+    mask = np.zeros((1, 1, q_len, kv_len), dtype=bool)
+    if causal:
+        mask = mask | np.triu(np.ones((q_len, kv_len), dtype=bool), k=1 + offset)[None, None]
+    if padding_mask is not None:
+        mask = mask | np.asarray(padding_mask, dtype=bool)[:, None, None, :]
+    scores = q.matmul(k.transpose(0, 1, 3, 2)) * scale
+    if mask.any():
+        scores = scores.masked_fill(mask, -1e9)
+    return scores.softmax(axis=-1).matmul(v)
 
 
 class MultiHeadAttention(Module):
@@ -177,35 +209,9 @@ class MultiHeadAttention(Module):
             offset = cache.length
             cached_k, cached_v = cache.append(k.data, v.data)
             k, v = Tensor(cached_k), Tensor(cached_v)
-        kv_len = k.shape[2]
-
-        use_fused = fused_enabled()
-        mask: Optional[np.ndarray] = None
-        is_causal = False
-        if self.causal and key_value is not None and kv_len != q_len:
+        if self.causal and key_value is not None and k.shape[2] != q_len:
             raise ValueError("causal attention requires self-attention with equal lengths")
-        if use_fused:
-            mask, is_causal = attention_mask(self.causal, padding_mask, q_len, kv_len, offset)
-        else:
-            # Legacy engine path (kept for A/B benchmarking): a fresh
-            # ``(1, 1, q_len, kv_len)`` mask is built and scanned every call,
-            # exactly as the original formulation did.
-            legacy = np.zeros((1, 1, q_len, kv_len), dtype=bool)
-            if self.causal:
-                legacy = legacy | np.triu(np.ones((q_len, kv_len), dtype=bool), k=1 + offset)[None, None]
-            if padding_mask is not None:
-                legacy = legacy | np.asarray(padding_mask, dtype=bool)[:, None, None, :]
-            if legacy.any():
-                mask = legacy
-
-        scale = 1.0 / np.sqrt(self.head_dim)
-        if use_fused:
-            context = F.scaled_dot_product_attention(q, k, v, mask=mask, scale=scale, is_causal=is_causal)
-        else:
-            scores = q.matmul(k.transpose(0, 1, 3, 2)) * scale
-            if mask is not None:
-                scores = scores.masked_fill(mask, -1e9)
-            context = scores.softmax(axis=-1).matmul(v)
+        context = attend(q, k, v, self.causal, padding_mask, offset, 1.0 / np.sqrt(self.head_dim))
         return self.out_proj(self._merge_heads(context))
 
 

@@ -7,9 +7,10 @@ the tokenizer's fusion rows each run their forward pass in plain NumPy and
 record a single tape node with an analytic backward,
 instead of the 5-10 nodes (and full-size temporaries) the composed
 formulation creates.  The composed formulations are kept as ``*_composed``
-fallbacks; :func:`repro.nn.tensor.fused_kernels` switches between the two so
-the speedup can be measured rather than asserted (see
-``repro.eval.perfbench``).
+functions: equality oracles for the tests and the baseline the speedup is
+measured against.  The engine itself runs only the fused kernels;
+:func:`repro.eval.perfbench.reference_kernels` swaps the oracles in for a
+block.
 
 Each fused kernel's forward arithmetic lives in an array-level helper
 (``linear_forward``, ``gelu_forward``, ``layer_norm_forward``,
@@ -24,7 +25,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.tensor import Tensor, apply_op, fused_enabled
+from repro.nn.tensor import Tensor, apply_op
 
 
 def relu(x: Tensor) -> Tensor:
@@ -32,10 +33,8 @@ def relu(x: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """GELU activation; dispatches to the fused kernel or the legacy method."""
-    if fused_enabled():
-        return fused_gelu(x)
-    return x.gelu()
+    """GELU activation (the fused kernel; :meth:`Tensor.gelu` is its one-node reference)."""
+    return fused_gelu(x)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -56,8 +55,11 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Apply ``x @ weight.T + bias`` (same convention as ``torch.nn.functional.linear``)."""
-    if fused_enabled():
-        return fused_linear(x, weight, bias)
+    return fused_linear(x, weight, bias)
+
+
+def linear_composed(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """:func:`linear` as transpose, matmul and broadcast-add tape nodes (reference for :func:`fused_linear`)."""
     out = x.matmul(weight.transpose())
     if bias is not None:
         out = out + bias
@@ -106,8 +108,6 @@ def lora_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor], lora_a: Tenso
     backward reaches ``x``, ``weight``, ``bias``, ``lora_a`` and
     ``lora_b`` and skips the frozen ones.
     """
-    if not fused_enabled():
-        return lora_linear_composed(x, weight, bias, lora_a, lora_b, scaling)
     x_data, a_data, b_data = x.data, lora_a.data, lora_b.data
     out = linear_forward(x_data, weight.data, None if bias is None else bias.data)
     down = x_data @ a_data.T
@@ -168,8 +168,6 @@ def cross_attention_rows(
     rows by slice.  :func:`cross_attention_rows_composed` builds the same
     arithmetic from tape ops and gives the same bits.
     """
-    if not fused_enabled():
-        return cross_attention_rows_composed(h, weight, bias, slices, rows, scale)
     h_data = h.data
     x = h_data[slices, rows][:, None, :]
     queries = linear_forward(x, weight.data, bias.data)
@@ -395,8 +393,6 @@ def graph_attention(src_scores: Tensor, dst_scores: Tensor, blocked: np.ndarray,
     instead of five (add, transpose, LeakyReLU, mask, softmax) and runs the
     same arithmetic, so both formulations give the same bits.
     """
-    if not fused_enabled():
-        return graph_attention_composed(src_scores, dst_scores, blocked, negative_slope)
     # One (..., N, N) buffer, updated in place with the composed ops' arithmetic.
     scores = src_scores.data + np.swapaxes(dst_scores.data, -1, -2)
     negative = scores <= 0

@@ -9,7 +9,7 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor, fused_enabled
+from repro.nn.tensor import Tensor
 
 
 class Linear(Module):
@@ -78,9 +78,7 @@ class LayerNorm(Module):
         self.bias = Parameter(init.zeros((normalized_shape,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        if fused_enabled():
-            return F.fused_layer_norm(x, self.weight, self.bias, eps=self.eps)
-        return F.layer_norm_composed(x, self.weight, self.bias, eps=self.eps)
+        return F.fused_layer_norm(x, self.weight, self.bias, eps=self.eps)
 
 
 class GELU(Module):
@@ -92,11 +90,11 @@ class MLP(Module):
     """Multi-layer perceptron with GELU between its linear layers.
 
     The paper uses MLPs in the temporal-integration module of the tokenizer
-    (Eq. 8) and as the general-task heads (Eq. 11).  With the fused kernels
-    the whole stack is one tape node (:func:`repro.nn.functional.mlp`);
-    under ``fused_kernels(False)``, or once a layer has been replaced by a
-    module other than :class:`Linear` / :class:`GELU`, it runs module by
-    module.
+    (Eq. 8) and as the general-task heads (Eq. 11).  The whole stack is one
+    tape node (:func:`repro.nn.functional.mlp`); once a layer has been
+    replaced by a module other than :class:`Linear` / :class:`GELU` it runs
+    module by module (:meth:`forward_layerwise`, also the fused node's
+    reference).
     """
 
     def __init__(
@@ -125,12 +123,12 @@ class MLP(Module):
         :func:`repro.nn.functional.mlp`.
         """
         linears, activations = self.layers[0::2], self.layers[1::2]
-        if (
-            fused_enabled()
-            and all(type(layer) is Linear for layer in linears)
-            and all(type(layer) is GELU for layer in activations)
-        ):
+        if all(type(layer) is Linear for layer in linears) and all(type(layer) is GELU for layer in activations):
             return F.mlp(x, [(layer.weight, layer.bias) for layer in linears], groups)
+        return self.forward_layerwise(x, groups)
+
+    def forward_layerwise(self, x: Tensor, groups: Optional[Sequence[Tuple[int, int]]] = None) -> Tensor:
+        """:meth:`forward` module by module, one call per row span of ``groups``."""
         if groups is None:
             return self.layers(x)
         return Tensor.concat([self.layers(x[start:stop]) for start, stop in groups], axis=0)

@@ -76,8 +76,9 @@ class LoRALinear(Module):
     def forward_unmerged(self, x: Tensor) -> Tensor:
         """``base(x) + (x A.T B.T) * scale``: the training path, and the merged path's oracle.
 
-        One tape node (:func:`~repro.nn.functional.lora_linear`); under
-        ``fused_kernels(False)`` the composed chain of tape ops.
+        One tape node (:func:`~repro.nn.functional.lora_linear`); inside
+        :func:`repro.eval.perfbench.reference_kernels` the composed chain of
+        tape ops.
         """
         return F.lora_linear(x, self.base.weight, self.base.bias, self.lora_a, self.lora_b, self.scaling)
 

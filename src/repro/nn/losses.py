@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor, fused_enabled
+from repro.nn.tensor import Tensor
 
 
 def _ensure_tensor(value) -> Tensor:
@@ -19,10 +19,13 @@ def cross_entropy(logits: Tensor, targets, reduction: str = "mean") -> Tensor:
 
     ``logits`` has shape ``(..., num_classes)`` and ``targets`` the matching
     leading shape of integer labels.  Uses the single-node fused kernel
-    (logits -> loss with analytic gradient) unless fusion is disabled.
+    (logits -> loss with analytic gradient).
     """
-    if fused_enabled():
-        return F.fused_cross_entropy(logits, targets, reduction=reduction)
+    return F.fused_cross_entropy(logits, targets, reduction=reduction)
+
+
+def cross_entropy_composed(logits: Tensor, targets, reduction: str = "mean") -> Tensor:
+    """:func:`cross_entropy` as log-softmax, gather, negate and reduce tape nodes (its reference)."""
     targets = np.asarray(targets.data if isinstance(targets, Tensor) else targets, dtype=np.int64)
     log_probs = logits.log_softmax(axis=-1)
     flat = log_probs.reshape(-1, logits.shape[-1])

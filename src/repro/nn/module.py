@@ -194,12 +194,12 @@ _DATA = operator.attrgetter("data")
 class WeightMemo:
     """A value computed from a module's weights, kept while they are unchanged.
 
-    The value is stamped on the caller's ``extra`` values and the identity
-    of every parameter array below the module.  Optimisers,
-    ``load_state_dict`` and transfer reassign a weight's ``.data``, which
-    the stamp sees; an in-place write into a weight array is not seen.  The
-    stamp holds the arrays themselves, so their ids cannot be recycled by a
-    later allocation while the memo is alive.
+    The value is stamped on the identity of every parameter array below
+    the module.  Optimisers, ``load_state_dict`` and transfer reassign a
+    weight's ``.data``, which the stamp sees; an in-place write into a
+    weight array is not seen.  The stamp holds the arrays themselves, so
+    their ids cannot be recycled by a later allocation while the memo is
+    alive.
     """
 
     __slots__ = ("_module", "_entry")
@@ -208,22 +208,18 @@ class WeightMemo:
         self._module = module
         #: ``(stamp, value)``, replaced in one assignment so a concurrent
         #: reader never pairs a new stamp with an old value.
-        self._entry: Optional[Tuple[Tuple, object]] = None
+        self._entry: Optional[Tuple[List, object]] = None
 
-    def get(self, build: Callable[[], object], *extra):
+    def get(self, build: Callable[[], object]):
         """The memoised value, rebuilt by ``build()`` when its stamp is stale."""
         arrays = list(map(_DATA, self._module.cached_parameters()))
         entry = self._entry
         if entry is not None:
-            (old_extra, old_arrays), value = entry
-            if (
-                old_extra == extra
-                and len(old_arrays) == len(arrays)
-                and all(map(operator.is_, old_arrays, arrays))
-            ):
+            old_arrays, value = entry
+            if len(old_arrays) == len(arrays) and all(map(operator.is_, old_arrays, arrays)):
                 return value
         value = build()
-        self._entry = ((extra, arrays), value)
+        self._entry = (arrays, value)
         return value
 
     def clear(self) -> None:

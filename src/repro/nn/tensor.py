@@ -33,8 +33,6 @@ ArrayLike = Union[np.ndarray, float, int, list, tuple, "Tensor"]
 #: one thread's ``no_grad()`` exit re-enable grad mid-rollout on another.
 _GRAD_STATE = threading.local()
 
-_FUSED_ENABLED = True
-
 
 def is_grad_enabled() -> bool:
     """Return ``True`` when operations record gradient information (this thread)."""
@@ -54,31 +52,6 @@ def no_grad():
         yield
     finally:
         _GRAD_STATE.enabled = previous
-
-
-def fused_enabled() -> bool:
-    """Return ``True`` when the fused fast-path kernels are active."""
-    return _FUSED_ENABLED
-
-
-@contextlib.contextmanager
-def fused_kernels(enabled: bool = True):
-    """Context manager selecting the fused or the composed (legacy) engine path.
-
-    The composed path records every softmax / layer-norm / attention step as
-    separate tape nodes exactly like the original engine; the fused path
-    collapses each of those patterns into a single node with an analytic
-    backward.  Both produce the same values and gradients (see
-    ``tests/test_nn_fused.py``), so this switch exists for A/B benchmarking
-    and for debugging suspected kernel issues.
-    """
-    global _FUSED_ENABLED
-    previous = _FUSED_ENABLED
-    _FUSED_ENABLED = bool(enabled)
-    try:
-        yield
-    finally:
-        _FUSED_ENABLED = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -317,12 +290,16 @@ class Tensor:
         grad = _as_array(grad, dtype=_grad_dtype(self.data))
 
         # Iterative topological sort to avoid recursion limits on deep graphs.
+        # An op node's ``.grad`` is this pass's gradient, so what an earlier
+        # pass left there is dropped; a leaf keeps accumulating.
         topo: List[Tensor] = []
         visited = set()
         stack: List[Tuple[Tensor, bool]] = [(self, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
+                if node._backward is not None:
+                    node.grad = None
                 topo.append(node)
                 continue
             if id(node) in visited:

@@ -19,7 +19,7 @@ from repro.nn import functional as F
 from repro.nn.attention import KVCache, MultiHeadAttention, attention_mask
 from repro.nn.layers import Embedding, GELU, LayerNorm, Linear
 from repro.nn.module import Module, ModuleList, WeightMemo
-from repro.nn.tensor import Tensor, fused_enabled, is_grad_enabled
+from repro.nn.tensor import Tensor, is_grad_enabled
 
 
 class FeedForward(Module):
@@ -274,12 +274,12 @@ class GPT2Model(Module):
     def _inference_plan(self) -> Optional[Tuple[List[_BlockPlan], Tuple]]:
         """The memoised weights of the array pass, or ``None`` for the module path.
 
-        Under ``no_grad`` with the fused kernels, :meth:`forward` runs every
-        block as one :func:`_block_pass`.  The module path stays the one
-        that records gradients and the composed-kernel oracle
-        (``fused_kernels(False)``).
+        Under ``no_grad``, :meth:`forward` runs every block as one
+        :func:`_block_pass`.  The module path stays the one that records
+        gradients; :func:`repro.eval.perfbench.reference_kernels` also sends
+        ``no_grad`` forwards down it.
         """
-        if is_grad_enabled() or not fused_enabled():
+        if is_grad_enabled():
             return None
         return self._plan.get(self._build_plan)
 

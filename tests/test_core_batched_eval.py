@@ -19,10 +19,12 @@ The load-bearing claims of the batch entry points
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
-from repro.nn.tensor import fused_kernels
+from repro.eval.perfbench import reference_kernels
 from repro.serving import (
     FaultPlan,
     NextHopRequest,
@@ -59,7 +61,7 @@ class TestBatchedEqualsSerial:
     @pytest.mark.parametrize("constrain", [True, False])
     def test_recovery_batch_matches_serial(self, trained_model, trajectories, constrain, fused):
         kept_lists = _kept_lists(trajectories)
-        with fused_kernels(fused):
+        with contextlib.nullcontext() if fused else reference_kernels():
             serial = [
                 trained_model.recover_trajectory(t, k, constrain_to_network=constrain)
                 for t, k in zip(trajectories, kept_lists)
@@ -78,7 +80,7 @@ class TestBatchedEqualsSerial:
             (i % traffic.num_segments, (2 * i) % max(traffic.num_slices - 8, 1), 4, 1 + i % 3)
             for i in range(5)
         ]
-        with fused_kernels(fused):
+        with contextlib.nullcontext() if fused else reference_kernels():
             serial = [trained_model.predict_traffic_state(*case) for case in cases]
             batched = trained_model.predict_traffic_states_batch(cases)
         assert len(batched) == len(serial)
@@ -92,7 +94,7 @@ class TestBatchedEqualsSerial:
             (i % traffic.num_segments, (3 * i) % max(traffic.num_slices - 6, 1), 6, (0, 2 + i % 3))
             for i in range(4)
         ]
-        with fused_kernels(fused):
+        with contextlib.nullcontext() if fused else reference_kernels():
             serial = [trained_model.impute_traffic_state(*case) for case in cases]
             batched = trained_model.impute_traffic_states_batch(cases)
         assert len(batched) == len(serial)

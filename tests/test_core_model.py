@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,9 @@ from repro.core.config import BIGCityConfig
 from repro.core.heads import GeneralTaskHeads, LabelSpace
 from repro.core.model import BIGCity
 from repro.core.prompts import CLAS, REG, TaskType
+from repro.eval.perfbench import reference_kernels
 from repro.nn.lora import LoRALinear
-from repro.nn.tensor import Tensor, fused_kernels, no_grad
+from repro.nn.tensor import Tensor, no_grad
 
 
 class TestConfig:
@@ -356,11 +359,11 @@ class TestMergedPromptAssembly:
     @pytest.mark.parametrize("fused", [True, False])
     @pytest.mark.parametrize("seed", range(2))
     def test_no_grad_forward_equals_oracle(self, tiny_dataset, seed, fused):
-        """The serving path: the memoised tokenizer under ``no_grad``, with either kernel set."""
+        """The serving path under ``no_grad``: the memoised tokenizer, and the uncached one inside ``reference_kernels()``."""
         rng = np.random.default_rng(100 + seed)
         model = self._model(tiny_dataset, seed, True)
         prompts = _generated_prompts(model.prompt_builder, model, tiny_dataset, rng)
-        with fused_kernels(fused), no_grad():
+        with contextlib.nullcontext() if fused else reference_kernels(), no_grad():
             merged, merged_mask, _ = self._assemble(model, prompts, _merged_prompt_batch)
             stacked, stacked_mask, _ = self._assemble(model, prompts, _stacked_prompt_batch)
         assert not merged.requires_grad
@@ -529,7 +532,7 @@ class TestFamilyBatchedLoss:
         model.train()
         model.backbone.llm.unfreeze()
         for batch in self._batches(pool, rng):
-            with fused_kernels(fused):
+            with contextlib.nullcontext() if fused else reference_kernels():
                 loss, breakdown, grads, outputs = self._run(model, batch, model.prompt_loss, monkeypatch)
                 ref_loss, ref_breakdown, ref_grads, ref_outputs = self._run(
                     model, batch, lambda prompts: reference_prompt_loss(model, prompts), monkeypatch

@@ -11,7 +11,8 @@ tokens.  The claims pinned here, on seeded generated inputs:
 * tokens equal the reference bit for bit on slice sets that cover slices
   ``0 .. history_window`` (the zero-padded history) and the last slice,
   with a ``traffic_override``, and with the memo filled against uncached,
-  for every encoder combination, with fused kernels on and off;
+  for every encoder combination, on the fused kernels and (all but the
+  memo case) inside ``reference_kernels()``;
 * stacked partial tokens equal one-row passes bit for bit (unknown
   segment, unknown timestamp, duplicate units), with either kernel set;
 * gradients equal the reference's up to summation order;
@@ -22,16 +23,18 @@ tokens.  The claims pinned here, on seeded generated inputs:
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.core.config import BIGCityConfig
 from repro.core.model import BIGCity
-from repro.eval.perfbench import reference_tokenizer
+from repro.eval.perfbench import reference_kernels, reference_tokenizer
 from repro.nn import functional as F
 from repro.nn.attention import CrossAttentionPool
 from repro.nn.gat import GAT
-from repro.nn.tensor import Tensor, fused_kernels, no_grad
+from repro.nn.tensor import Tensor, no_grad
 
 #: Encoder combinations: the default, no traffic (static only, one fused
 #: row serves every slice), no static encoder and no fusion.
@@ -123,7 +126,7 @@ class TestBatchedEqualsPerSlice:
         model, dataset = _model(tiny_dataset, tiny_dataset_no_traffic, variant, seed)
         sequences, masks = _sequences(model, dataset, rng)
         units = _units(tiny_dataset, rng)
-        with fused_kernels(fused):
+        with contextlib.nullcontext() if fused else reference_kernels():
             batched = _encode(model.tokenizer, sequences, masks, units)
             with reference_tokenizer():
                 reference = _encode(model.tokenizer, sequences, masks, units)
@@ -137,7 +140,7 @@ class TestBatchedEqualsPerSlice:
         units = _units(tiny_dataset, rng)
         values = tiny_dataset.traffic_states.values
         override = values + rng.standard_normal(values.shape) * values.std()
-        with fused_kernels(fused):
+        with contextlib.nullcontext() if fused else reference_kernels():
             plain = _encode(model.tokenizer, sequences, masks, units)
             batched = _encode(model.tokenizer, sequences, masks, units, traffic_override=override)
             with reference_tokenizer():
@@ -145,23 +148,21 @@ class TestBatchedEqualsPerSlice:
         _assert_same_tokens(batched, reference)
         assert not np.array_equal(plain[0][-1].data, batched[0][-1].data)
 
-    @pytest.mark.parametrize("fused", [True, False])
     @pytest.mark.parametrize("variant", ["default", "no_traffic"])
-    def test_memo_filled_equals_uncached(self, tiny_dataset, tiny_dataset_no_traffic, variant, fused):
+    def test_memo_filled_equals_uncached(self, tiny_dataset, tiny_dataset_no_traffic, variant):
         rng = np.random.default_rng(4)
         model, dataset = _model(tiny_dataset, tiny_dataset_no_traffic, variant, 4)
         sequences, masks = _sequences(model, dataset, rng)
         units = _units(tiny_dataset, rng)
-        with fused_kernels(fused):
-            # Grad mode with a trainable tokenizer bypasses the memo.
-            with reference_tokenizer():
-                uncached = _encode(model.tokenizer, sequences, masks, units)
-            with no_grad():
-                # Fill part of the memo, then ask for every slice: part hits,
-                # the rest is computed into the memo, then all of it hits.
-                _encode(model.tokenizer, sequences[::2], masks[::2], units)
-                partly = _encode(model.tokenizer, sequences, masks, units)
-                warm = _encode(model.tokenizer, sequences, masks, units)
+        # Grad mode with a trainable tokenizer bypasses the memo.
+        with reference_tokenizer():
+            uncached = _encode(model.tokenizer, sequences, masks, units)
+        with no_grad():
+            # Fill part of the memo, then ask for every slice: part hits,
+            # the rest is computed into the memo, then all of it hits.
+            _encode(model.tokenizer, sequences[::2], masks[::2], units)
+            partly = _encode(model.tokenizer, sequences, masks, units)
+            warm = _encode(model.tokenizer, sequences, masks, units)
         _assert_same_tokens(partly, uncached)
         _assert_same_tokens(warm, uncached)
 
@@ -170,7 +171,7 @@ class TestBatchedEqualsPerSlice:
         model = BIGCity.from_dataset(tiny_dataset, config=BIGCityConfig.tiny(seed=5))
         tokenizer = model.tokenizer
         units = _units(tiny_dataset, np.random.default_rng(5))
-        with fused_kernels(fused):
+        with contextlib.nullcontext() if fused else reference_kernels():
             static = tokenizer.static_representations()
             tokens, rows = tokenizer.encode_partials(units, static_cache=static)
             for unit, row in zip(units, rows):
@@ -246,7 +247,7 @@ class TestStackedLayers:
         gat = GAT(5, 6, 4, num_layers=2, num_heads=2, rng=rng)
         pool = CrossAttentionPool(4, rng=rng)
         x = rng.standard_normal((6, 9, 5))
-        with fused_kernels(fused):
+        with contextlib.nullcontext() if fused else reference_kernels():
             stacked = pool(gat(Tensor(x), adjacency)).data
             for index in range(x.shape[0]):
                 np.testing.assert_array_equal(stacked[index], pool(gat(Tensor(x[index]), adjacency)).data)

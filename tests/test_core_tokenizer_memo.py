@@ -5,12 +5,12 @@ serves ``static_representations`` / ``fused_representations`` from a memo
 and computes only the slices it has not seen.  The claims pinned here:
 
 * cached == uncached bit-for-bit for the batched traffic prediction,
-  traffic imputation and KV-cached rollout entry points, with fused
-  kernels on and off, on seeded slice sets that include slice 0, the
-  zero-padded history window and the last slice;
+  traffic imputation and KV-cached rollout entry points, on seeded slice
+  sets that include slice 0, the zero-padded history window and the last
+  slice;
 * a stale memo is never served: after an optimiser step, a state-dict
-  load, a new traffic tensor, ``unfreeze()`` under grad mode or a kernel
-  switch, answers equal a freshly built model's;
+  load, a new traffic tensor or ``unfreeze()`` under grad mode, answers
+  equal a freshly built model's;
 * a ``traffic_override`` bypasses the memo;
 * stage-1 training (grad enabled, tokenizer trainable) computes the same
   loss and gradients as a model that never filled its memo;
@@ -29,7 +29,7 @@ from repro.core.model import BIGCity
 from repro.data.traffic_state import TrafficStateSeries
 from repro.data.trajectory import Trajectory
 from repro.nn.optim import Adam
-from repro.nn.tensor import fused_kernels, no_grad
+from repro.nn.tensor import no_grad
 from repro.serving import results_equal
 
 TASKS = ["prediction", "imputation", "rollout"]
@@ -134,36 +134,32 @@ class TestGeneratedSlices:
 
 
 class TestCachedEqualsUncached:
-    @pytest.mark.parametrize("fused", [True, False])
     @pytest.mark.parametrize("task", TASKS)
-    def test_warm_and_partial_memo_match_cold(self, tiny_dataset, tiny_config, weights, task, fused):
+    def test_warm_and_partial_memo_match_cold(self, tiny_dataset, tiny_config, weights, task):
         model = _fresh(tiny_dataset, tiny_config, weights)
-        with fused_kernels(fused):
-            cold = _run(model, tiny_dataset, task, seed=11)
-            warm = _run(model, tiny_dataset, task, seed=11)
-            # Empty the memo, fill it from an overlapping slice set, then ask
-            # again: part of the slices hit, the rest are computed.
-            model.tokenizer.set_traffic_states(tiny_dataset.traffic_states)
-            _run(model, tiny_dataset, task, seed=12)
-            partial = _run(model, tiny_dataset, task, seed=11)
+        cold = _run(model, tiny_dataset, task, seed=11)
+        warm = _run(model, tiny_dataset, task, seed=11)
+        # Empty the memo, fill it from an overlapping slice set, then ask
+        # again: part of the slices hit, the rest are computed.
+        model.tokenizer.set_traffic_states(tiny_dataset.traffic_states)
+        _run(model, tiny_dataset, task, seed=12)
+        partial = _run(model, tiny_dataset, task, seed=11)
         assert _equal(cold, warm)
         assert _equal(cold, partial)
 
-    @pytest.mark.parametrize("fused", [True, False])
-    def test_memo_entries_equal_the_grad_mode_computation(self, tiny_dataset, tiny_config, weights, fused):
+    def test_memo_entries_equal_the_grad_mode_computation(self, tiny_dataset, tiny_config, weights):
         """Grad mode with a trainable tokenizer bypasses the memo: the uncached oracle."""
         tokenizer = _fresh(tiny_dataset, tiny_config, weights).tokenizer
         window = tiny_config.history_window
         slices = sorted({s for _, start, length, _ in _imputation_cases(tiny_dataset, window, seed=5)
                          for s in range(start, start + length)})
-        with fused_kernels(fused):
-            with no_grad():
-                tokenizer.fused_representations(slices[::2])
-                cached = tokenizer.fused_representations(slices)
-                static = tokenizer.static_representations()
-            uncached = tokenizer.fused_representations(slices)
-            assert all(t.requires_grad for t in uncached.values())
-            assert np.array_equal(static.data, tokenizer.static_representations().data)
+        with no_grad():
+            tokenizer.fused_representations(slices[::2])
+            cached = tokenizer.fused_representations(slices)
+            static = tokenizer.static_representations()
+        uncached = tokenizer.fused_representations(slices)
+        assert all(t.requires_grad for t in uncached.values())
+        assert np.array_equal(static.data, tokenizer.static_representations().data)
         assert list(cached) == list(uncached) == slices
         for index in slices:
             assert cached[index].data.dtype == uncached[index].data.dtype
@@ -261,17 +257,6 @@ class TestStaleMemo:
         assert representation_grads and any(np.any(g != 0) for g in representation_grads)
         assert all((a is None) == (b is None) for a, b in zip(warm, cold))
         assert all(a is None or np.array_equal(a, b) for a, b in zip(warm, cold))
-
-    def test_kernel_switch(self, tiny_dataset, tiny_config, weights):
-        model = _fresh(tiny_dataset, tiny_config, weights)
-        _answers(model, tiny_dataset)
-        fresh = _fresh(tiny_dataset, tiny_config, weights)
-        with fused_kernels(False):
-            switched = _answers(model, tiny_dataset)
-            reference = _answers(fresh, tiny_dataset)
-        assert _equal(switched, reference)
-        # Back on the default path the memo is rebuilt, not mixed.
-        assert _equal(_answers(model, tiny_dataset), _answers(_fresh(tiny_dataset, tiny_config, weights), tiny_dataset))
 
 
 class TestTrafficOverride:

@@ -9,14 +9,17 @@ full re-encoding logits exactly.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
+from repro.eval.perfbench import reference_kernels
 from repro.nn import functional as F
 from repro.nn import losses
 from repro.nn.attention import KVCache, MultiHeadAttention
 from repro.nn.layers import LayerNorm, Linear
-from repro.nn.tensor import Tensor, fused_kernels, no_grad
+from repro.nn.tensor import Tensor, no_grad
 from repro.nn.transformer import GPT2Config, GPT2Model
 
 VALUE_ATOL = 1e-6
@@ -109,9 +112,8 @@ class TestFusedLayerNorm:
         rng = np.random.default_rng(4)
         data = rng.standard_normal((3, 8))
         layer = LayerNorm(8)
-        with fused_kernels(True):
-            fused_out = layer(Tensor(data)).data
-        with fused_kernels(False):
+        fused_out = layer(Tensor(data)).data
+        with reference_kernels():
             composed_out = layer(Tensor(data)).data
         assert np.allclose(fused_out, composed_out, atol=VALUE_ATOL)
 
@@ -123,8 +125,8 @@ class TestFusedCrossEntropy:
         logits = rng.standard_normal((6, 9))
         targets = rng.integers(0, 9, size=6)
         results = {}
-        for name, enabled in (("fused", True), ("composed", False)):
-            with fused_kernels(enabled):
+        for name, kernels in (("fused", contextlib.nullcontext), ("composed", reference_kernels)):
+            with kernels():
                 t = Tensor(logits.copy(), requires_grad=True)
                 loss = losses.cross_entropy(t, targets, reduction=reduction)
                 loss.backward(np.ones_like(loss.data))
@@ -148,9 +150,8 @@ class TestFusedCrossEntropy:
         rng = np.random.default_rng(7)
         logits = rng.standard_normal((2, 3, 4))
         targets = rng.integers(0, 4, size=(2, 3))
-        with fused_kernels(True):
-            fused = losses.cross_entropy(Tensor(logits), targets, reduction=reduction).data
-        with fused_kernels(False):
+        fused = losses.cross_entropy(Tensor(logits), targets, reduction=reduction).data
+        with reference_kernels():
             composed = losses.cross_entropy(Tensor(logits), targets, reduction=reduction).data
         assert fused.shape == composed.shape
         assert np.allclose(fused, composed, atol=VALUE_ATOL)
@@ -162,8 +163,8 @@ class TestFusedLinear:
         data = rng.standard_normal((3, 4, 5))
         layer = Linear(5, 7, rng=rng)
         results = {}
-        for name, enabled in (("fused", True), ("composed", False)):
-            with fused_kernels(enabled):
+        for name, kernels in (("fused", contextlib.nullcontext), ("composed", reference_kernels)):
+            with kernels():
                 for parameter in layer.parameters():
                     parameter.zero_grad()
                 x = Tensor(data.copy(), requires_grad=True)
@@ -199,7 +200,7 @@ class TestScaledDotProductAttention:
             if name == "fused":
                 out = F.scaled_dot_product_attention(q, k, v, mask=mask, scale=scale)
             else:
-                with fused_kernels(False):
+                with reference_kernels():
                     out = self._composed_reference(q, k, v, mask, scale)
             out.backward(grad_out)
             results[name] = (out.data, q.grad, k.grad, v.grad)
@@ -253,9 +254,8 @@ class TestScaledDotProductAttention:
         x = rng.standard_normal((2, 9, 16))
         padding = np.zeros((2, 9), dtype=bool)
         padding[1, 6:] = True
-        with fused_kernels(True):
-            fused_out = attention(Tensor(x), padding_mask=padding).data
-        with fused_kernels(False):
+        fused_out = attention(Tensor(x), padding_mask=padding).data
+        with reference_kernels():
             composed_out = attention(Tensor(x), padding_mask=padding).data
         assert np.allclose(fused_out, composed_out, atol=VALUE_ATOL)
 
@@ -265,7 +265,7 @@ class TestGraphAttention:
     def _run(fused: bool, src: np.ndarray, dst: np.ndarray, blocked: np.ndarray, weights: np.ndarray):
         src_t = Tensor(src.copy(), requires_grad=True)
         dst_t = Tensor(dst.copy(), requires_grad=True)
-        with fused_kernels(fused):
+        with contextlib.nullcontext() if fused else reference_kernels():
             out = F.graph_attention(src_t, dst_t, blocked, 0.2)
         scalarise(out, weights).backward()
         return out.data, src_t.grad, dst_t.grad
@@ -370,8 +370,9 @@ class TestKVCache:
         """Incremental KV-cached decoding equals re-encoding from scratch.
 
         Under ``no_grad`` the fused engine decodes through the backbone's
-        array pass; with the plan switched off, or with the composed kernels,
-        it takes the module path, whose attention layers append to the cache.
+        array pass; with the plan switched off, or inside
+        ``reference_kernels()``, it takes the module path, whose attention
+        layers append to the cache.
         """
         config = GPT2Config(d_model=16, num_layers=2, num_heads=2, max_position=64, seed=0)
         model = GPT2Model(config)
@@ -380,7 +381,7 @@ class TestKVCache:
             model._inference_plan = lambda: None
         rng = np.random.default_rng(14)
         embeddings = rng.standard_normal((1, 10, 16))
-        with no_grad(), fused_kernels(path != "composed"):
+        with no_grad(), reference_kernels() if path == "composed" else contextlib.nullcontext():
             assert (model._inference_plan() is not None) == (path == "array_pass")
             full = model(Tensor(embeddings)).data
             caches = model.new_caches()

@@ -6,8 +6,8 @@ product, and ``F.lora_linear`` runs an unmerged LoRA layer as one tape
 node.  The claims pinned here:
 
 * any subset of fusion rows (one row, duplicates, every row, rows over
-  many slices) equals the full table's rows bit for bit, with fused kernels
-  on and off;
+  many slices) equals the full table's rows bit for bit, on the fused
+  kernels and inside ``reference_kernels()``;
 * the per-row fusion, on either kernel set, matches the N-row-GEMM
   formulation it replaced up to rounding;
 * both fused nodes equal their composed twins bit for bit, with gradients
@@ -18,14 +18,17 @@ node.  The claims pinned here:
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
+from repro.eval.perfbench import reference_kernels
 from repro.nn import functional as F
 from repro.nn.attention import CrossAttentionPool
 from repro.nn.layers import Linear
 from repro.nn.lora import LoRALinear, attach_lora, mark_only_lora_trainable
-from repro.nn.tensor import Tensor, fused_kernels
+from repro.nn.tensor import Tensor
 from repro.nn.transformer import GPT2Config, GPT2Model
 
 
@@ -84,7 +87,7 @@ class TestFusionRows:
     def test_any_row_subset_equals_the_full_table(self, seed, fused):
         pool, h, rng = _pool_and_table(seed)
         table = Tensor(h)
-        with fused_kernels(fused):
+        with contextlib.nullcontext() if fused else reference_kernels():
             full = pool(table).data
             assert full.shape == h.shape and full.dtype == np.float64
             for slices, rows in _row_subsets(rng, *h.shape[:2]):
@@ -97,7 +100,7 @@ class TestFusionRows:
         rtol = 1e-12
         pool, h, _ = _pool_and_table(3, slices=4, segments=30, dim=12)
         table = Tensor(h)
-        with fused_kernels(fused):
+        with contextlib.nullcontext() if fused else reference_kernels():
             fusion = pool(table).data
         np.testing.assert_allclose(fusion, old_fusion(pool, table.data), rtol=rtol, atol=rtol)
 
@@ -116,7 +119,7 @@ class TestFusionRows:
             return out.data, grads
 
         fused, fused_grads = run()
-        with fused_kernels(False):
+        with reference_kernels():
             composed, composed_grads = run()
         assert fused.dtype == composed.dtype == np.float64
         np.testing.assert_array_equal(fused, composed)
@@ -180,7 +183,7 @@ class TestLoRANode:
             return out.data, _parameter_grads(layer, x)
 
         fused, fused_grads = run()
-        with fused_kernels(False):
+        with reference_kernels():
             composed, composed_grads = run()
         assert fused.dtype == np.float64
         np.testing.assert_array_equal(fused, composed)
@@ -230,7 +233,7 @@ class TestLoRANode:
             return out.data, _parameter_grads(model, x)
 
         fused, fused_grads = run()
-        with fused_kernels(False):
+        with reference_kernels():
             composed, composed_grads = run()
         assert any(".lora_a" in key for key in fused_grads)
         assert not any(key.endswith("base.weight") for key in fused_grads)

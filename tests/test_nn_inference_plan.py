@@ -18,7 +18,7 @@ import pytest
 from repro.nn import Adam, GPT2Config, GPT2Model, LoRALinear, attach_lora
 from repro.nn import transformer
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor, fused_kernels, no_grad
+from repro.nn.tensor import Tensor, no_grad
 
 D_MODEL = 32
 MAX_POSITION = 160
@@ -156,13 +156,11 @@ class TestPlanRebuild:
 
 
 class TestFallbacks:
-    def test_module_path_for_grad_mode_and_composed_kernels(self):
+    def test_module_path_for_grad_mode(self):
         model = _model(np.random.default_rng(5), 1.0, num_heads=2)
         assert model._inference_plan() is None
         with no_grad():
             assert model._inference_plan() is not None
-            with fused_kernels(False):
-                assert model._inference_plan() is None
 
     def test_train_mode_no_grad_takes_the_array_pass(self, monkeypatch):
         """Train mode changes nothing a forward computes, so it does not leave the array pass."""

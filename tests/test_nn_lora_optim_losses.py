@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.eval.perfbench import reference_kernels
 from repro.nn import (
     Adam,
     GPT2Config,
@@ -24,7 +27,7 @@ from repro.nn import functional as F
 from repro.nn.losses import masked_mse_loss
 from repro.nn.module import Parameter
 from repro.nn.optim import clip_grad_norm
-from repro.nn.tensor import Tensor, fused_kernels, no_grad
+from repro.nn.tensor import Tensor, no_grad
 
 
 class TestLoRA:
@@ -130,7 +133,7 @@ class TestInferencePath:
     @pytest.mark.parametrize("fused", [True, False])
     def test_lora_free_gpt2_no_grad_equals_grad_mode(self, fused):
         x = np.random.default_rng(5).standard_normal((3, 9, 32))
-        with fused_kernels(fused):
+        with contextlib.nullcontext() if fused else reference_kernels():
             model = _tiny_gpt2()
             taped = model(Tensor(x, requires_grad=True))
             with no_grad():
@@ -144,7 +147,7 @@ class TestInferencePath:
         x = np.random.default_rng(6).standard_normal((3, 9, 32))
         model = _tiny_gpt2()
         attach_lora(model, rank=4, rng=np.random.default_rng(1))
-        with fused_kernels(fused):
+        with contextlib.nullcontext() if fused else reference_kernels():
             with no_grad():
                 base_only = model(Tensor(x)).data
             _randomise_lora_b(model, seed=2)

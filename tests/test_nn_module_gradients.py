@@ -3,15 +3,18 @@
 Each case builds a small seeded module, takes ``sum(output * weights)`` for
 fixed random ``weights`` as the loss and compares the backward pass with
 central differences of the forward, on both the fused kernels and the
-composed tape nodes (``fused_kernels(False)``).  Large parameters are
+composed tape nodes (``reference_kernels()``).  Large parameters are
 probed at a seeded subset of entries so each case stays in milliseconds.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
+from repro.eval.perfbench import reference_kernels
 from repro.nn import (
     GAT,
     GRU,
@@ -29,7 +32,6 @@ from repro.nn import (
     Tensor,
     TransformerBlock,
     TransformerEncoder,
-    fused_kernels,
 )
 from repro.nn import losses
 
@@ -181,7 +183,7 @@ def _check(tensors, loss_of, label: str) -> None:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_parameter_and_input_gradients(case, fused):
     build, build_inputs, forward = CASES[case]
-    with fused_kernels(fused):
+    with contextlib.nullcontext() if fused else reference_kernels():
         module = build()
         inputs = [Tensor(array, requires_grad=True) for array in build_inputs(_rng(4))]
         out = forward(module, inputs)
@@ -216,7 +218,7 @@ LOSSES = {
 @pytest.mark.parametrize("name", sorted(LOSSES))
 def test_loss_gradients(name, fused):
     loss_fn = LOSSES[name]
-    with fused_kernels(fused):
+    with contextlib.nullcontext() if fused else reference_kernels():
         prediction = Tensor(_rng(8).standard_normal((4, 3)), requires_grad=True)
         out = loss_fn(prediction)
         weights = np.ones(out.shape)

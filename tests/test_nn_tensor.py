@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.eval.perfbench import reference_kernels
 from repro.nn import no_grad
 from repro.nn import functional as F
 from repro.nn.optim import clip_grad_norm
-from repro.nn.tensor import Tensor, _wrap, fused_kernels
+from repro.nn.tensor import Tensor, _wrap
 
 
 def numeric_gradient(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -360,6 +361,39 @@ class TestBackwardSemantics:
         (a + b).backward(np.array([1.0]))
         assert np.allclose(t.grad, [7.0])
 
+    def test_second_backward_adds_one_more_gradient_to_a_leaf(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        z = (x * 2.0).sum()
+        z.backward()
+        z.backward()
+        np.testing.assert_array_equal(x.grad, np.full(3, 4.0))
+
+    def test_roots_sharing_an_intermediate_match_separate_graphs(self):
+        rng = np.random.default_rng(0)
+        data, mix = rng.standard_normal((2, 4, 3))
+
+        def hidden(x):
+            return (x * x).tanh() * 1.5
+
+        shared_x = Tensor(data, requires_grad=True)
+        shared = hidden(shared_x)
+        (shared * mix).sum().backward()
+        shared.exp().sum().backward()
+        separate_x = Tensor(data, requires_grad=True)
+        (hidden(separate_x) * mix).sum().backward()
+        hidden(separate_x).exp().sum().backward()
+        np.testing.assert_array_equal(shared_x.grad, separate_x.grad)
+
+    def test_an_intermediate_holds_the_last_pass_gradient(self):
+        rng = np.random.default_rng(1)
+        data, mix = rng.standard_normal((2, 5))
+        x = Tensor(data, requires_grad=True)
+        h = x * 3.0
+        (h * mix).sum().backward()
+        np.testing.assert_array_equal(h.grad, mix)
+        (h * h).sum().backward()
+        np.testing.assert_array_equal(h.grad, 2.0 * h.data)
+
 
 
 # ----------------------------------------------------------------------
@@ -653,7 +687,7 @@ _OPS = {
 
 def _mlp_composed(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Linear → GELU → linear as the composed per-op tape (the oracle of ``F.mlp``)."""
-    with fused_kernels(False):
+    with reference_kernels():
         return F.linear(F.gelu(F.linear(x, w1, b1)), w2, b2)
 
 
