@@ -51,8 +51,8 @@ def main() -> None:
     history = 6
     start = max(current_slice - history, 0)
     print("Forecast speed on candidate segments for the next half hour:")
-    for segment in candidates:
-        forecast = model.predict_traffic_state(int(segment), start, history=history, horizon=1)
+    forecasts = model.predict_traffic_states_batch([(int(segment), start, history, 1) for segment in candidates])
+    for segment, forecast in zip(candidates, forecasts):
         limit = dataset.network.segment(int(segment)).speed_limit
         congestion = "congested" if forecast[0, 0] < 0.7 * limit else "free-flowing"
         print(f"  segment {int(segment)}: {forecast[0, 0]:5.1f} km/h (limit {limit:.0f}) -> {congestion}")

@@ -66,14 +66,14 @@ def main() -> None:
     print("\n--- Trajectory recovery -------------------------------------------")
     long_trajectory = max(test, key=len)
     _, kept = subsample_trajectory(long_trajectory, keep_ratio=0.3, rng=np.random.default_rng(0))
-    recovered = model.recover_trajectory(long_trajectory, kept)
+    [recovered] = model.recover_trajectories_batch([long_trajectory], [kept])
     missing = np.setdiff1d(np.arange(len(long_trajectory)), kept)
     truth = [long_trajectory.segments[i] for i in missing]
     correct = int(np.sum(recovered == np.asarray(truth)))
     print(f"  recovered {correct}/{len(truth)} masked segments of trajectory {long_trajectory.trajectory_id}")
 
     print("\n--- Traffic state forecasting --------------------------------------")
-    forecast = model.predict_traffic_state(segment_id=3, start_slice=60, history=6, horizon=6)
+    [forecast] = model.predict_traffic_states_batch([(3, 60, 6, 6)])
     actual = dataset.traffic_states.values[3, 66:72, 0]
     print(f"  segment 3 speed forecast (km/h): {np.round(forecast[:, 0], 1)}")
     print(f"  segment 3 speed actual   (km/h): {np.round(actual, 1)}")

@@ -51,21 +51,26 @@ def main() -> None:
     multi_step = ResultTable(title="Multi-step prediction", higher_is_better={"mae": False, "rmse": False, "mape": False})
     imputation = ResultTable(title="Imputation (25% masked)", higher_is_better={"mae": False, "rmse": False, "mape": False})
 
+    # The evaluator passes every case in one call; the baselines answer case by case.
     for name, baseline in baselines.items():
-        one_step.add_row(name, evaluator.evaluate_prediction(baseline.predict, horizon=1))
-        multi_step.add_row(name, evaluator.evaluate_prediction(baseline.predict, horizon=HORIZON))
-        imputation.add_row(name, evaluator.evaluate_imputation(baseline.impute, mask_ratio=0.25, max_cases=24))
+        predict = lambda cases: [baseline.predict(*case) for case in cases]  # noqa: E731
+        impute = lambda cases, override: [baseline.impute(*case, override) for case in cases]  # noqa: E731
+        one_step.add_row(name, evaluator.evaluate_prediction(predict, horizon=1))
+        multi_step.add_row(name, evaluator.evaluate_prediction(predict, horizon=HORIZON))
+        imputation.add_row(name, evaluator.evaluate_imputation(impute, mask_ratio=0.25, max_cases=24))
 
-    one_step.add_row("bigcity", evaluator.evaluate_prediction(model.predict_traffic_state, horizon=1))
-    multi_step.add_row("bigcity", evaluator.evaluate_prediction(model.predict_traffic_state, horizon=HORIZON))
-    imputation.add_row("bigcity", evaluator.evaluate_imputation(model.impute_traffic_state, mask_ratio=0.25, max_cases=24))
+    one_step.add_row("bigcity", evaluator.evaluate_prediction(model.predict_traffic_states_batch, horizon=1))
+    multi_step.add_row("bigcity", evaluator.evaluate_prediction(model.predict_traffic_states_batch, horizon=HORIZON))
+    imputation.add_row(
+        "bigcity", evaluator.evaluate_imputation(model.impute_traffic_states_batch, mask_ratio=0.25, max_cases=24)
+    )
 
     for table in (one_step, multi_step, imputation):
         print()
         print(table.to_text())
 
     print("\nA sample forecast for segment 3:")
-    forecast = model.predict_traffic_state(segment_id=3, start_slice=60, history=HISTORY, horizon=HORIZON)
+    [forecast] = model.predict_traffic_states_batch([(3, 60, HISTORY, HORIZON)])
     actual = dataset.traffic_states.values[3, 60 + HISTORY : 60 + HISTORY + HORIZON, 0]
     print(f"  predicted speeds (km/h): {np.round(forecast[:, 0], 1)}")
     print(f"  actual speeds    (km/h): {np.round(actual, 1)}")

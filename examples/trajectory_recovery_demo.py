@@ -18,6 +18,11 @@ from repro.data import load_dataset
 from repro.tasks import TrajectoryRecoveryEvaluator
 
 
+def per_case(recover):
+    """Adapt a baseline's ``recover(trajectory, kept)`` to the evaluator's one call for all cases."""
+    return lambda trajectories, kept: [recover(*case) for case in zip(trajectories, kept)]
+
+
 def main() -> None:
     dataset = load_dataset("xa_like", seed=0)
     evaluator = TrajectoryRecoveryEvaluator(dataset, mask_ratio=0.85, max_samples=30, seed=0)
@@ -27,16 +32,16 @@ def main() -> None:
 
     linear = LinearHMMRecovery(dataset)
     linear.fit()
-    results["Linear+HMM"] = evaluator.evaluate(linear.recover)
+    results["Linear+HMM"] = evaluator.evaluate(per_case(linear.recover))
 
     dthr = DTHRHMMRecovery(dataset)
     dthr.fit()
-    results["DTHR+HMM"] = evaluator.evaluate(dthr.recover)
+    results["DTHR+HMM"] = evaluator.evaluate(per_case(dthr.recover))
 
     print("Training MTrajRec (seq2seq recovery baseline) ...")
     mtrajrec = MTrajRec(dataset, seed=0)
     mtrajrec.fit(epochs=2)
-    results["MTrajRec"] = evaluator.evaluate(mtrajrec.recover)
+    results["MTrajRec"] = evaluator.evaluate(per_case(mtrajrec.recover))
 
     print("Training BIGCity (multi-task, includes the recovery prompt) ...")
     model, _ = train_bigcity(
@@ -44,7 +49,7 @@ def main() -> None:
         BIGCityConfig(hidden_dim=32, d_model=64, num_layers=3, seed=0),
         TrainingConfig(stage1_epochs=2, stage2_epochs=6, batch_size=8, seed=0),
     )
-    results["BIGCity"] = evaluator.evaluate(model.recover_trajectory)
+    results["BIGCity"] = evaluator.evaluate(model.recover_trajectories_batch)
 
     print("\nMethod          accuracy   macro-F1")
     print("-" * 38)

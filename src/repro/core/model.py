@@ -8,10 +8,12 @@ task-oriented prompt machinery (Sec. V-A), the LoRA-adapted causal backbone
   objects through the full pipeline, returning the output tokens ``Z``
   aligned with each prompt's task placeholders;
 * :meth:`prompt_loss` — the multi-task loss of Eq. 16 / Eq. 17;
-* task-level inference helpers (``predict_next_hop``, ``estimate_travel_time``,
-  ``classify_trajectory``, ``trajectory_embeddings``, ``recover_trajectory``,
-  ``predict_traffic_state``, ``impute_traffic_state``) used by the evaluation
-  harness and the examples.
+* task-level inference over a batch of cases (``predict_next_hop``,
+  ``estimate_travel_time``, ``classify_trajectory``, ``trajectory_embeddings``
+  and the ``*_batch`` methods: ``rollout_next_hops_batch``,
+  ``recover_trajectories_batch``, ``predict_traffic_states_batch``,
+  ``impute_traffic_states_batch``) used by the evaluation harness, the
+  serving layer and the examples.  A single case is a batch of one.
 """
 
 from __future__ import annotations
@@ -519,14 +521,14 @@ class BIGCity(Module):
                     rankings.append(np.argsort(-logits)[:top_k])
         return rankings
 
-    def rollout_next_hops(
+    def rollout_next_hops_batch(
         self,
-        trajectory: Trajectory,
+        trajectories: Sequence[Trajectory],
         steps: int = 1,
         use_cache: bool = True,
         constrain_to_network: bool = True,
-    ) -> np.ndarray:
-        """Autoregressively extend a trajectory by ``steps`` segments.
+    ) -> List[np.ndarray]:
+        """Autoregressively extend ``N`` trajectories by ``steps`` segments through ONE padded batch.
 
         Each step ranks the next segment with the segment-classification head,
         appends the chosen segment as a partially-filled ST token (plus a fresh
@@ -538,24 +540,6 @@ class BIGCity(Module):
         path available for equivalence tests and benchmarking; both paths see
         byte-identical input sequences and therefore produce identical logits.
 
-        This is the single-trajectory view of :meth:`rollout_next_hops_batch`.
-        """
-        return self.rollout_next_hops_batch(
-            [trajectory],
-            steps=steps,
-            use_cache=use_cache,
-            constrain_to_network=constrain_to_network,
-        )[0]
-
-    def rollout_next_hops_batch(
-        self,
-        trajectories: Sequence[Trajectory],
-        steps: int = 1,
-        use_cache: bool = True,
-        constrain_to_network: bool = True,
-    ) -> List[np.ndarray]:
-        """Autoregressively extend ``N`` trajectories through ONE padded batch.
-
         All prompts are assembled into a single right-padded batch (padded key
         positions are excluded from attention, so a row never sees another
         row's padding) and every decode step pushes one ``(N, 2, d_model)``
@@ -563,10 +547,9 @@ class BIGCity(Module):
         2-token forwards.  Because rows have different prompt lengths, the two
         new tokens of row ``i`` live at *physical* cache slots shared by the
         whole batch but carry row ``i``'s own positional indices
-        (``position_ids``) — logically each row continues its own sequence
-        exactly as in the per-trajectory rollout, and the chosen segments
-        match :meth:`rollout_next_hops` trajectory-for-trajectory (see
-        ``tests/test_core_model.py``).
+        (``position_ids``) — logically each row continues its own sequence,
+        and the chosen segments match each trajectory rolled out alone, as a
+        batch of one (see ``tests/test_core_rollout_batch.py``).
 
         Returns one ``(steps,)`` array of segment ids per input trajectory.
         """
@@ -727,42 +710,25 @@ class BIGCity(Module):
                     embeddings.append(output.pooled.data.copy())
         return np.stack(embeddings)
 
-    def recover_trajectory(
-        self,
-        trajectory: Trajectory,
-        kept_indices: Sequence[int],
-        constrain_to_network: bool = True,
-    ) -> np.ndarray:
-        """Predicted segment ids at the masked positions of a low-rate trajectory.
-
-        With ``constrain_to_network=True`` each masked position is decoded
-        among the segments reachable from the surrounding observed samples
-        (map-constrained decoding, as in the recovery baselines); with
-        ``False`` the raw segment logits are argmax-decoded.  A masked
-        position before the first (or after the last) kept sample is decoded
-        against its nearest kept neighbour on the open side.
-
-        This is the single-trajectory view of
-        :meth:`recover_trajectories_batch`.
-        """
-        return self.recover_trajectories_batch(
-            [trajectory], [kept_indices], constrain_to_network=constrain_to_network
-        )[0]
-
     def recover_trajectories_batch(
         self,
         trajectories: Sequence[Trajectory],
         kept_indices_list: Sequence[Sequence[int]],
         constrain_to_network: bool = True,
     ) -> List[np.ndarray]:
-        """Recover the masked positions of ``N`` trajectories in ONE padded batch.
+        """Predicted segment ids at the masked positions of ``N`` low-rate trajectories.
 
         All recovery prompts run through a single :meth:`forward_prompts`
         call (one right-padded batch, assembled into a pre-allocated array on
-        the inference path), then each trajectory's logits are decoded with
-        the same map-constrained rule the serial method uses — so the results
-        match :meth:`recover_trajectory` trajectory-for-trajectory,
-        bit-for-bit.  Returns one ``(num_missing,)`` int64 array per input.
+        the inference path), then each trajectory's logits are decoded on its
+        own, so each answer equals the trajectory's batch-of-one answer bit
+        for bit.  With ``constrain_to_network=True`` each masked position is
+        decoded among the segments reachable from the surrounding observed
+        samples (map-constrained decoding, as in the recovery baselines); with
+        ``False`` the raw segment logits are argmax-decoded.  A masked
+        position before the first (or after the last) kept sample is decoded
+        against its nearest kept neighbour on the open side.  Returns one
+        ``(num_missing,)`` int64 array per input.
         """
         if len(trajectories) != len(kept_indices_list):
             raise ValueError(
@@ -791,7 +757,7 @@ class BIGCity(Module):
         logits: np.ndarray,
         constrain_to_network: bool,
     ) -> np.ndarray:
-        """Decode one trajectory's per-mask segment logits (shared serial/batch)."""
+        """Decode one trajectory's per-mask segment logits."""
         if not constrain_to_network:
             return np.argmax(logits, axis=-1).astype(np.int64)
         kept = np.asarray(sorted(set(int(i) for i in kept_indices)), dtype=np.int64)
@@ -831,13 +797,6 @@ class BIGCity(Module):
             recovered.append(constrained_recovery_choice(row, candidates))
         return np.asarray(recovered, dtype=np.int64)
 
-    def predict_traffic_state(self, segment_id: int, start_slice: int, history: int, horizon: int) -> np.ndarray:
-        """Forecast the next ``horizon`` traffic states of one segment (denormalised).
-
-        This is the single-case view of :meth:`predict_traffic_states_batch`.
-        """
-        return self.predict_traffic_states_batch([(segment_id, start_slice, history, horizon)])[0]
-
     def predict_traffic_states_batch(
         self, cases: Sequence[Tuple[int, int, int, int]]
     ) -> List[np.ndarray]:
@@ -847,7 +806,7 @@ class BIGCity(Module):
         horizon)`` tuples; histories and horizons may differ between cases —
         prompt padding absorbs the raggedness.  Returns one denormalised
         ``(horizon, channels)`` array per case, bit-for-bit identical to
-        calling :meth:`predict_traffic_state` case by case.
+        the case's batch-of-one answer.
         """
         if not cases:
             return []
@@ -867,23 +826,6 @@ class BIGCity(Module):
                 for output in outputs
             ]
 
-    def impute_traffic_state(
-        self,
-        segment_id: int,
-        start_slice: int,
-        num_slices: int,
-        masked_positions: Sequence[int],
-        traffic_override: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Impute masked traffic states of one segment (denormalised).
-
-        This is the single-case view of :meth:`impute_traffic_states_batch`.
-        """
-        return self.impute_traffic_states_batch(
-            [(segment_id, start_slice, num_slices, masked_positions)],
-            traffic_override=traffic_override,
-        )[0]
-
     def impute_traffic_states_batch(
         self,
         cases: Sequence[Tuple[int, int, int, Sequence[int]]],
@@ -895,7 +837,7 @@ class BIGCity(Module):
         masked_positions)`` tuples sharing one optional ``traffic_override``
         (the evaluator masks the whole tensor once for all cases).  Returns
         one denormalised ``(len(masked), channels)`` array per case,
-        bit-for-bit identical to the serial :meth:`impute_traffic_state`.
+        bit-for-bit identical to the case's batch-of-one answer.
         """
         if not cases:
             return []

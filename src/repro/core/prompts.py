@@ -172,10 +172,6 @@ class Prompt:
     def instruction(self) -> str:
         return INSTRUCTION_BANK[self.task]
 
-    @property
-    def num_placeholders(self) -> int:
-        return len(self.placeholders)
-
     def __post_init__(self) -> None:
         for kind in self.placeholders:
             if kind not in (CLAS, REG):

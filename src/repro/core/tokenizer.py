@@ -357,55 +357,9 @@ class SpatioTemporalTokenizer(Module):
         fused = self.fusion(h, pairs // h.shape[1], pairs % h.shape[1])
         return fused.reshape(len(pairs), 1, fused.shape[-1]), pair_rows.reshape(-1), np.zeros_like(segments)
 
-    def fused_representations(
-        self,
-        slice_indices: Sequence[int],
-        traffic_override: Optional[np.ndarray] = None,
-        static: Optional[Tensor] = None,
-    ) -> Dict[int, Tensor]:
-        """Fused spatial representations ``s_{i, t}`` for each requested slice.
-
-        Returns a mapping ``slice_index -> (num_segments, fused_dim)`` tensor,
-        served from the memo when it is live (a ``traffic_override``
-        bypasses it), otherwise computed in one batched pass.
-        """
-        unique = sorted({int(s) for s in slice_indices})
-        slots = self._slots(unique)
-        memo = self._live_memo() if traffic_override is None else None
-        if memo is not None:
-            table, rows = self._memo_table(memo, slots, static), slots
-        else:
-            distinct, rows = np.unique(slots, return_inverse=True)
-            table = self._fuse(distinct, traffic_override, static)
-        return {s: table[int(row)] for s, row in zip(unique, rows.reshape(-1))}
-
     # ------------------------------------------------------------------
     # Token construction
     # ------------------------------------------------------------------
-    def encode_sequence(
-        self,
-        sequence: STUnitSequence,
-        time_feature_mask: Optional[np.ndarray] = None,
-        traffic_override: Optional[np.ndarray] = None,
-    ) -> Tensor:
-        """Encode one ST-unit sequence into ``(L, d_model)`` ST tokens (Eq. 8).
-
-        Parameters
-        ----------
-        sequence:
-            The ST-unit sequence (trajectory or traffic-state series).
-        time_feature_mask:
-            Optional boolean ``(L,)`` array; where ``True`` the timestamp
-            features and the interval are zeroed.  This implements the
-            "ST token without temporal features" variant of the TTE prompt
-            template (Fig. 3b).
-        traffic_override:
-            Optional replacement traffic tensor (used by the imputation task
-            so that masked cells are not leaked through the dynamic encoder).
-        """
-        masks = None if time_feature_mask is None else [time_feature_mask]
-        return self.encode_batch([sequence], masks, traffic_override)[0]
-
     def encode_batch(
         self,
         sequences: Sequence[STUnitSequence],
@@ -413,11 +367,17 @@ class SpatioTemporalTokenizer(Module):
         traffic_override: Optional[np.ndarray] = None,
         static: Optional[Tensor] = None,
     ) -> List[Tensor]:
-        """Encode several sequences, sharing one batched pass over their slices.
+        """Encode ST-unit sequences into ``(L_i, d_model)`` ST tokens (Eq. 8), one batched pass over their slices.
 
         Returns a list of ``(L_i, d_model)`` tensors (ragged; padding is the
         caller's concern because the downstream prompt assembly interleaves
-        these tokens with text and task tokens).  ``static`` passes a
+        these tokens with text and task tokens).  ``time_feature_masks``
+        holds an optional boolean ``(L_i,)`` array per sequence; where
+        ``True`` the timestamp features and the interval are zeroed (the "ST
+        token without temporal features" variant of the TTE prompt template,
+        Fig. 3b).  ``traffic_override`` replaces the traffic tensor (the
+        imputation task uses it so that masked cells do not leak through the
+        dynamic encoder).  ``static`` passes a
         ``static_representations()`` tensor the caller also uses elsewhere,
         so one forward runs the static GAT once.  Each sequence pulls its
         spatial rows from the slice table with one gather and runs the
@@ -448,30 +408,19 @@ class SpatioTemporalTokenizer(Module):
             intervals = np.where(mask, 0.0, intervals)
         return np.concatenate([time_feats, intervals[:, None]], axis=1)
 
-    def encode_partial(
-        self,
-        segment_id: Optional[int] = None,
-        timestamp: Optional[float] = None,
-        static_cache: Optional[Tensor] = None,
-    ) -> Tensor:
-        """Encode a *partially known* ST-unit into a ``(d_model,)`` token.
-
-        This realises the partially filled ST tokens annotated in Fig. 3 of
-        the paper: the spatial part uses only the static representation of the
-        segment (never the traffic state), or zeros when the segment is
-        unknown; the temporal part uses the timestamp features, or zeros when
-        the time is unknown.  ``static_cache`` can pass a pre-computed
-        ``static_representations()`` tensor.
-        """
-        tokens, _ = self.encode_partials([(segment_id, timestamp)], static_cache=static_cache)
-        return tokens.reshape(self.d_model)
-
     def encode_partials(
         self,
         units: Sequence[Tuple[Optional[int], Optional[float]]],
         static_cache: Optional[Tensor] = None,
     ) -> Tuple[Tensor, np.ndarray]:
-        """Partial ST tokens (see :meth:`encode_partial`) of ``(segment_id, timestamp)`` units.
+        """Encode *partially known* ``(segment_id, timestamp)`` ST-units into tokens.
+
+        This realises the partially filled ST tokens annotated in Fig. 3 of
+        the paper: the spatial part uses only the static representation of the
+        segment (never the traffic state), or zeros when the segment is
+        unknown (``None``); the temporal part uses the timestamp features, or
+        zeros when the time is unknown.  ``static_cache`` can pass a
+        pre-computed ``static_representations()`` tensor.
 
         Returns ``(tokens, rows)``: ``tokens`` is ``(k, d_model)``, one row
         per distinct unit, and ``rows[i]`` is the row of ``units[i]``, so
@@ -501,4 +450,4 @@ class SpatioTemporalTokenizer(Module):
         return tokens.reshape(count, self.d_model), rows
 
     def forward(self, sequence: STUnitSequence) -> Tensor:
-        return self.encode_sequence(sequence)
+        return self.encode_batch([sequence])[0]

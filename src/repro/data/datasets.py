@@ -73,10 +73,6 @@ class CityDataset:
         return self.subset(self.splits.train)
 
     @property
-    def validation_trajectories(self) -> List[Trajectory]:
-        return self.subset(self.splits.validation)
-
-    @property
     def test_trajectories(self) -> List[Trajectory]:
         return self.subset(self.splits.test)
 

@@ -12,7 +12,9 @@
 * :mod:`repro.eval.report` — Markdown reproduction reports (paper vs measured).
 * :mod:`repro.eval.stats` — paired significance tests for model comparisons.
 * :mod:`repro.eval.perfbench` — engine micro-benchmarks (fused kernels,
-  KV-cached decode) emitting config-hashed ``BENCH_engine.json`` reports.
+  KV-cached decode) emitting config-hashed ``BENCH_engine.json`` reports;
+  import it as ``repro.eval.perfbench`` (the package does not import it, so
+  ``python -m repro.eval.perfbench`` runs the module once).
 """
 
 from repro.eval.results import ResultTable
@@ -35,7 +37,6 @@ from repro.eval.experiments import (
     run_fig5_lora_sensitivity,
     run_fig6_scalability,
 )
-from repro.eval.perfbench import PerfBenchConfig, PerfBenchReport, run_perfbench, write_report
 from repro.eval.registry import EXPERIMENTS, get_experiment
 
 __all__ = [
@@ -58,10 +59,6 @@ __all__ = [
     "run_fig6_scalability",
     "EXPERIMENTS",
     "get_experiment",
-    "PerfBenchConfig",
-    "PerfBenchReport",
-    "run_perfbench",
-    "write_report",
     "render_radar",
     "radar_from_table",
     "AggregatedTable",

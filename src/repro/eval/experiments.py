@@ -130,23 +130,20 @@ def run_table4_recovery(
         table.higher_is_better[f"acc@{int(metric_ratio * 100)}"] = True
         table.higher_is_better[f"f1@{int(metric_ratio * 100)}"] = True
 
-    def add_method(name: str, recover_fn, recover_batch_fn=None) -> None:
+    def add_method(name: str, recover_fn) -> None:
         metrics: Dict[str, float] = {}
         for ratio, evaluator in evaluators.items():
-            if recover_batch_fn is not None and profile.batched_evaluators:
-                result = evaluator.evaluate_batch(recover_batch_fn)
-            else:
-                result = evaluator.evaluate(recover_fn)
+            result = evaluator.evaluate(recover_fn)
             metrics[f"acc@{int(ratio * 100)}"] = result["accuracy"]
             metrics[f"f1@{int(ratio * 100)}"] = result["macro_f1"]
         table.add_row(name, metrics)
 
     for name in baselines:
         baseline = context.recovery_baseline(name, dataset_name)
-        add_method(name, baseline.recover)
+        add_method(name, lambda trajectories, kept: [baseline.recover(*case) for case in zip(trajectories, kept)])
 
     model = context.bigcity(dataset_name)
-    add_method(BIGCITY_NAME, model.recover_trajectory, model.recover_trajectories_batch)
+    add_method(BIGCITY_NAME, model.recover_trajectories_batch)
     return table
 
 
@@ -174,28 +171,19 @@ def run_table5_traffic_state(
 
     for name in baselines:
         baseline = context.traffic_baseline(name, dataset_name, history=history, horizon=horizon)
-        one_step.add_row(name, evaluator.evaluate_prediction(baseline.predict, horizon=1))
-        multi_step.add_row(name, evaluator.evaluate_prediction(baseline.predict, horizon=horizon))
-        imputation.add_row(
-            name, evaluator.evaluate_imputation(baseline.impute, max_cases=profile.imputation_cases)
-        )
+        predict = lambda cases: [baseline.predict(*case) for case in cases]  # noqa: E731
+        impute = lambda cases, override: [baseline.impute(*case, override) for case in cases]  # noqa: E731
+        one_step.add_row(name, evaluator.evaluate_prediction(predict, horizon=1))
+        multi_step.add_row(name, evaluator.evaluate_prediction(predict, horizon=horizon))
+        imputation.add_row(name, evaluator.evaluate_imputation(impute, max_cases=profile.imputation_cases))
 
     model = context.bigcity(dataset_name)
-    if profile.batched_evaluators:
-        one_step.add_row(BIGCITY_NAME, evaluator.evaluate_prediction_batch(model.predict_traffic_states_batch, horizon=1))
-        multi_step.add_row(
-            BIGCITY_NAME, evaluator.evaluate_prediction_batch(model.predict_traffic_states_batch, horizon=horizon)
-        )
-        imputation.add_row(
-            BIGCITY_NAME,
-            evaluator.evaluate_imputation_batch(model.impute_traffic_states_batch, max_cases=profile.imputation_cases),
-        )
-    else:
-        one_step.add_row(BIGCITY_NAME, evaluator.evaluate_prediction(model.predict_traffic_state, horizon=1))
-        multi_step.add_row(BIGCITY_NAME, evaluator.evaluate_prediction(model.predict_traffic_state, horizon=horizon))
-        imputation.add_row(
-            BIGCITY_NAME, evaluator.evaluate_imputation(model.impute_traffic_state, max_cases=profile.imputation_cases)
-        )
+    one_step.add_row(BIGCITY_NAME, evaluator.evaluate_prediction(model.predict_traffic_states_batch, horizon=1))
+    multi_step.add_row(BIGCITY_NAME, evaluator.evaluate_prediction(model.predict_traffic_states_batch, horizon=horizon))
+    imputation.add_row(
+        BIGCITY_NAME,
+        evaluator.evaluate_imputation(model.impute_traffic_states_batch, max_cases=profile.imputation_cases),
+    )
     return {"one_step": one_step, "multi_step": multi_step, "imputation": imputation}
 
 
@@ -316,10 +304,7 @@ def run_table7_design_ablations(
             config_overrides=overrides,
             training_overrides=shortened,
         )
-        if profile.batched_evaluators:
-            reco_acc = reco_eval.evaluate_batch(model.recover_trajectories_batch)["accuracy"]
-        else:
-            reco_acc = reco_eval.evaluate(model.recover_trajectory)["accuracy"]
+        reco_acc = reco_eval.evaluate(model.recover_trajectories_batch)["accuracy"]
         row = {
             "tte_mae": tte_eval.evaluate(model.estimate_travel_time)["mae"],
             "clas_macro_f1": clas_eval.evaluate(
@@ -330,12 +315,9 @@ def run_table7_design_ablations(
             "reco_acc": reco_acc,
         }
         if traffic_eval is not None and model.config.use_dynamic_encoder:
-            if profile.batched_evaluators:
-                row["multi_step_mape"] = traffic_eval.evaluate_prediction_batch(
-                    model.predict_traffic_states_batch, horizon=6
-                )["mape"]
-            else:
-                row["multi_step_mape"] = traffic_eval.evaluate_prediction(model.predict_traffic_state, horizon=6)["mape"]
+            row["multi_step_mape"] = traffic_eval.evaluate_prediction(
+                model.predict_traffic_states_batch, horizon=6
+            )["mape"]
         table.add_row(variant, row)
     return table
 
@@ -387,10 +369,7 @@ def run_table8_cotraining_ablations(
         if TaskType.TRAVEL_TIME in tasks:
             row["tte_mae"] = tte_eval.evaluate(model.estimate_travel_time)["mae"]
         if TaskType.TRAFFIC_MULTI_STEP in tasks and traffic_eval is not None:
-            if profile.batched_evaluators:
-                row["ms_mape"] = traffic_eval.evaluate_prediction_batch(model.predict_traffic_states_batch, horizon=6)["mape"]
-            else:
-                row["ms_mape"] = traffic_eval.evaluate_prediction(model.predict_traffic_state, horizon=6)["mape"]
+            row["ms_mape"] = traffic_eval.evaluate_prediction(model.predict_traffic_states_batch, horizon=6)["mape"]
         table.add_row(set_name, row)
     return table
 

@@ -62,11 +62,6 @@ class BenchmarkProfile:
     traffic_eval_windows: int = 48
     recovery_eval_samples: int = 30
     imputation_cases: int = 24
-    #: Route BIGCity recovery / traffic rows through the batched entry points
-    #: (one padded model batch per evaluation instead of one call per case).
-    #: The batched paths are equality-pinned against the serial ones, so this
-    #: changes wall clock, not metrics.
-    batched_evaluators: bool = True
     # Which baselines to include (None = all registered)
     trajectory_baselines: Optional[Tuple[str, ...]] = None
     traffic_baselines: Optional[Tuple[str, ...]] = None

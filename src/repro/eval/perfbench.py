@@ -745,7 +745,7 @@ def bench_batched_rollout(config: PerfBenchConfig) -> Dict[str, float]:
 
     def run_serial() -> None:
         for trajectory in batch:
-            model.rollout_next_hops(trajectory, steps=config.rollout_steps)
+            model.rollout_next_hops_batch([trajectory], steps=config.rollout_steps)
 
     def run_batched() -> None:
         model.rollout_next_hops_batch(batch, steps=config.rollout_steps)
@@ -794,13 +794,13 @@ def bench_batched_recovery(config: PerfBenchConfig) -> Dict[str, float]:
         keep = max(1, len(trajectory) // 3)
         kept_list.append(np.sort(rng.choice(len(trajectory), size=keep, replace=False)))
 
-    serial = [model.recover_trajectory(t, k) for t, k in zip(batch, kept_list)]
+    serial = [model.recover_trajectories_batch([t], [k])[0] for t, k in zip(batch, kept_list)]
     batched = model.recover_trajectories_batch(batch, kept_list)
     identical = 1.0 if all(np.array_equal(s, b) for s, b in zip(serial, batched)) else 0.0
 
     def run_serial() -> None:
         for trajectory, kept in zip(batch, kept_list):
-            model.recover_trajectory(trajectory, kept)
+            model.recover_trajectories_batch([trajectory], [kept])
 
     def run_batched() -> None:
         model.recover_trajectories_batch(batch, kept_list)
@@ -850,9 +850,9 @@ def bench_batched_traffic(config: PerfBenchConfig) -> Dict[str, float]:
         for i in range(config.traffic_cases)
     ]
 
-    serial_predictions = [model.predict_traffic_state(*case) for case in predict_cases]
+    serial_predictions = [model.predict_traffic_states_batch([case])[0] for case in predict_cases]
     batched_predictions = model.predict_traffic_states_batch(predict_cases)
-    serial_imputations = [model.impute_traffic_state(*case) for case in impute_cases]
+    serial_imputations = [model.impute_traffic_states_batch([case])[0] for case in impute_cases]
     batched_imputations = model.impute_traffic_states_batch(impute_cases)
     identical = (
         1.0
@@ -863,9 +863,9 @@ def bench_batched_traffic(config: PerfBenchConfig) -> Dict[str, float]:
 
     def run_serial() -> None:
         for case in predict_cases:
-            model.predict_traffic_state(*case)
+            model.predict_traffic_states_batch([case])
         for case in impute_cases:
-            model.impute_traffic_state(*case)
+            model.impute_traffic_states_batch([case])
 
     def run_batched() -> None:
         model.predict_traffic_states_batch(predict_cases)

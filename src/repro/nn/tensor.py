@@ -764,10 +764,5 @@ class Tensor:
         return Tensor(np.ones(shape, dtype=dtype or np.float64), requires_grad=requires_grad)
 
     @staticmethod
-    def randn(*shape, requires_grad: bool = False, scale: float = 1.0, rng: Optional[np.random.Generator] = None) -> "Tensor":
-        rng = rng or np.random.default_rng()
-        return Tensor(rng.standard_normal(shape) * scale, requires_grad=requires_grad)
-
-    @staticmethod
     def arange(*args, dtype=None) -> "Tensor":
         return Tensor(np.arange(*args, dtype=dtype or np.float64))

@@ -37,8 +37,7 @@ class RoadNetwork:
         self._adjacency = self._build_adjacency()
         self._adjacency.setflags(write=False)
         self._update_degrees()
-        self._feature_encoder = StaticFeatureEncoder(self.segments)
-        self._static_features = self._feature_encoder.encode_all(self.segments)
+        self._static_features = StaticFeatureEncoder(self.segments).encode_all(self.segments)
         sources, targets = np.nonzero(self._adjacency)
         self._edges = (_read_only(sources), _read_only(targets))
         self._successors: List[Tuple[int, ...]] = _neighbour_lists(len(self.segments), sources, targets)
@@ -121,10 +120,6 @@ class RoadNetwork:
     @property
     def static_feature_dim(self) -> int:
         return self._static_features.shape[1]
-
-    @property
-    def feature_encoder(self) -> StaticFeatureEncoder:
-        return self._feature_encoder
 
     def segment(self, segment_id: int) -> RoadSegment:
         return self.segments[segment_id]

@@ -35,7 +35,7 @@ def execute_request(model, request: ServingRequest, faults=None):
     equality-tested against.
 
     ``faults`` is an optional :class:`repro.serving.faults.FaultPlan`:
-    ``on_execute`` may raise or delay before the model call and
+    ``on_execute`` may raise before the model call and
     ``transform_result`` may corrupt the answer afterwards — both no-ops by
     default, so the oracle path is untouched unless a chaos test injects.
     """

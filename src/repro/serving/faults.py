@@ -9,7 +9,7 @@ in CI.  The plan is threaded through the stack behind a no-op default
 * :func:`~repro.serving.scheduler.run_tick` calls
   :meth:`FaultPlan.on_model` (broken-replica faults) and then
   :meth:`FaultPlan.on_batch` (each member's :meth:`FaultPlan.on_execute`:
-  raise / delay) before every group's model call, a group of one included,
+  raise) before every group's model call, a group of one included,
   and :meth:`FaultPlan.transform_result` (corruption) on each answer; a
   poisoned member fails its whole group, which exercises isolation;
 * :func:`~repro.serving.execution.execute_request`, the serial oracle,
@@ -26,14 +26,12 @@ replicas by object identity, and ticks/leases by 1-based counter.  Every
 trigger is recorded in :attr:`FaultPlan.fired` so tests can assert the
 plan actually exercised the path under test.  The plan is deterministic:
 which faults fire depends only on the plan's configuration and the order
-of hook calls, and the optional delay jitter is drawn from the plan's
-seeded generator.
+of hook calls.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -58,11 +56,9 @@ class TransientInjectedFault(InjectedFault, TransientError):
 class _Rule:
     """One configured fault: what happens and how many times it may fire."""
 
-    kind: str  # "error" | "delay" | "corrupt"
+    kind: str  # "error" | "corrupt"
     remaining: Optional[int] = None  # None = fires every time
     transient: bool = False
-    delay_s: float = 0.0
-    jitter_s: float = 0.0
 
     def take(self) -> bool:
         """Consume one firing; False when the rule is exhausted."""
@@ -82,9 +78,7 @@ class FaultPlan:
     ``faults=None``.
     """
 
-    def __init__(self, seed: int = 0) -> None:
-        self.seed = seed
-        self._rng = np.random.default_rng(seed)
+    def __init__(self) -> None:
         self._lock = threading.RLock()
         self._request_rules: Dict[str, List[_Rule]] = {}
         self._broken_model_ids: set = set()
@@ -99,13 +93,6 @@ class FaultPlan:
     def fail_request(self, tag: str, times: Optional[int] = None, transient: bool = False) -> "FaultPlan":
         """Requests tagged ``tag`` raise (``times`` firings; None = always)."""
         rule = _Rule(kind="error", remaining=times, transient=transient)
-        with self._lock:
-            self._request_rules.setdefault(tag, []).append(rule)
-        return self
-
-    def delay_request(self, tag: str, delay_s: float, times: Optional[int] = None, jitter_s: float = 0.0) -> "FaultPlan":
-        """Requests tagged ``tag`` sleep ``delay_s`` (+ seeded jitter) before executing."""
-        rule = _Rule(kind="delay", remaining=times, delay_s=delay_s, jitter_s=jitter_s)
         with self._lock:
             self._request_rules.setdefault(tag, []).append(rule)
         return self
@@ -126,11 +113,6 @@ class FaultPlan:
         """
         with self._lock:
             self._broken_model_ids.add(id(model))
-        return self
-
-    def heal_replica(self, model: object) -> "FaultPlan":
-        with self._lock:
-            self._broken_model_ids.discard(id(model))
         return self
 
     def fail_lease(self, *lease_numbers: int) -> "FaultPlan":
@@ -161,13 +143,7 @@ class FaultPlan:
         return None
 
     def on_execute(self, request: object) -> None:
-        """Delay and/or raise for one request's execution."""
-        delay = self._match(request, ("delay",))
-        if delay is not None:
-            with self._lock:
-                pause = delay.delay_s + delay.jitter_s * float(self._rng.random())
-                self.fired.append(f"delay:{getattr(request, 'tag', None)}")
-            time.sleep(pause)
+        """Raise for one request's execution."""
         rule = self._match(request, ("error",))
         if rule is not None:
             tag = getattr(request, "tag", None)
@@ -190,7 +166,7 @@ class FaultPlan:
         return "CORRUPTED"
 
     def on_batch(self, requests: Sequence[object]) -> None:
-        """Delay and/or fail a group's model call for each matching member.
+        """Fail a group's model call for each matching member.
 
         A poisoned member of a group of two or more consumes one firing here
         and another when the scheduler's isolation re-runs it alone —

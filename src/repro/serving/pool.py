@@ -105,27 +105,6 @@ class ModelPool:
         pool.warmup_s = time.perf_counter() - started
         return pool
 
-    @classmethod
-    def from_factory(
-        cls,
-        factory: Callable[[], object],
-        replicas: int = 1,
-        quarantine_after: Optional[int] = 3,
-        faults=None,
-    ) -> "ModelPool":
-        """Build ``replicas`` models from a zero-argument factory (tests, demos)."""
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        started = time.perf_counter()
-        pool = cls(
-            [factory() for _ in range(replicas)],
-            reloader=factory,
-            quarantine_after=quarantine_after,
-            faults=faults,
-        )
-        pool.warmup_s = time.perf_counter() - started
-        return pool
-
     # ------------------------------------------------------------------
     @property
     def size(self) -> int:

@@ -44,7 +44,7 @@ def greedy_next_hop(
     With a ``network`` this is the top-1 entry of
     :func:`constrained_next_hop_ranking` (graph successors of
     ``last_segment`` win over unreachable segments); without one it is the
-    plain argmax.  Used by ``BIGCity.rollout_next_hops`` to choose the token
+    plain argmax.  Used by ``BIGCity.rollout_next_hops_batch`` to choose the token
     appended at each KV-cached decode step.
     """
     if network is None:

@@ -41,16 +41,13 @@ class NextHopEvaluator:
     def __len__(self) -> int:
         return len(self.trajectories)
 
-    def evaluate(self, rank_fn: RankFn, use_full_trajectory: bool = True) -> Dict[str, float]:
+    def evaluate(self, rank_fn: RankFn) -> Dict[str, float]:
         """Score a ranking function.
 
-        ``use_full_trajectory=True`` passes the *full* trajectory to the
-        ranking function (BIGCity's prompt builder strips the last sample
-        itself); ``False`` passes only the prefix (used by baselines that
-        expect the prefix directly).
+        The ranking function receives the *full* trajectories; BIGCity's
+        prompt builder strips the last sample itself.
         """
-        inputs = self.trajectories if use_full_trajectory else self.prefixes
-        rankings = rank_fn(inputs)
+        rankings = rank_fn(self.trajectories)
         if len(rankings) != len(self.targets):
             raise ValueError("ranking function returned the wrong number of results")
         top1 = np.array([list(r)[0] if len(r) else -1 for r in rankings])

@@ -16,16 +16,13 @@ from repro.data.datasets import CityDataset
 from repro.data.trajectory import Trajectory, subsample_trajectory
 from repro.tasks import metrics
 
-#: ``recover_fn(full_trajectory, kept_indices) -> predicted segment ids`` at the
-#: dropped positions (in ascending position order).  Only the kept samples may
-#: be used by the method; the full trajectory is passed so the method knows
-#: how many positions to fill and their timestamps.
-RecoverFn = Callable[[Trajectory, np.ndarray], np.ndarray]
-#: ``recover_batch_fn(trajectories, kept_indices_list) -> [predicted ids, ...]``
-#: — the batched form, answering every case through one padded model batch
-#: (``BIGCity.recover_trajectories_batch``).
+#: ``recover_fn(trajectories, kept_indices_list) -> [predicted ids, ...]``:
+#: one array of predicted segment ids per case, at the dropped positions in
+#: ascending order.  Only the kept samples may be used by the method; the full
+#: trajectory is passed so the method knows how many positions to fill and
+#: their timestamps.  ``BIGCity.recover_trajectories_batch`` answers every
+#: case through one padded model batch.
 RecoverBatchFn = Callable[[Sequence[Trajectory], Sequence[np.ndarray]], Sequence[np.ndarray]]
-
 
 class TrajectoryRecoveryEvaluator:
     """Build masked recovery cases at a given mask ratio and score methods."""
@@ -58,18 +55,9 @@ class TrajectoryRecoveryEvaluator:
     def __len__(self) -> int:
         return len(self.cases)
 
-    def evaluate(self, recover_fn: RecoverFn) -> Dict[str, float]:
-        recovered = [recover_fn(trajectory, kept) for trajectory, kept, _ in self.cases]
-        return self._score(recovered)
-
-    def evaluate_batch(self, recover_batch_fn: RecoverBatchFn) -> Dict[str, float]:
-        """Score a batched recovery function (one model call for all cases).
-
-        Produces exactly the metrics :meth:`evaluate` produces for the
-        per-case form of the same method, since the batched model path is
-        equality-pinned against the serial one.
-        """
-        recovered = recover_batch_fn(
+    def evaluate(self, recover_fn: RecoverBatchFn) -> Dict[str, float]:
+        """Score a recovery function on every case in one call."""
+        recovered = recover_fn(
             [trajectory for trajectory, _, _ in self.cases],
             [kept for _, kept, _ in self.cases],
         )

@@ -18,22 +18,17 @@ from repro.data.loader import TrafficWindowSampler
 from repro.data.traffic_state import TRAFFIC_CHANNELS
 from repro.tasks import metrics
 
-#: ``predict_fn(segment_id, start_slice, history, horizon) -> (horizon, channels)``
-PredictFn = Callable[[int, int, int, int], np.ndarray]
-#: ``impute_fn(segment_id, start_slice, num_slices, masked_positions, traffic_override) -> (len(masked), channels)``
-ImputeFn = Callable[[int, int, int, Sequence[int], Optional[np.ndarray]], np.ndarray]
-#: ``predict_batch_fn(cases) -> [(horizon, channels), ...]`` where each case is
-#: ``(segment_id, start_slice, history, horizon)`` — the batched form answering
-#: every window through one padded model batch
-#: (``BIGCity.predict_traffic_states_batch``).
+#: ``predict_fn(cases) -> [(horizon, channels), ...]`` where each case is
+#: ``(segment_id, start_slice, history, horizon)``;
+#: ``BIGCity.predict_traffic_states_batch`` answers every window through one
+#: padded model batch.
 PredictBatchFn = Callable[[Sequence[Tuple[int, int, int, int]]], Sequence[np.ndarray]]
-#: ``impute_batch_fn(cases, traffic_override) -> [(len(masked), channels), ...]``
+#: ``impute_fn(cases, traffic_override) -> [(len(masked), channels), ...]``
 #: where each case is ``(segment_id, start_slice, num_slices, masked_positions)``
 #: (``BIGCity.impute_traffic_states_batch``).
 ImputeBatchFn = Callable[
     [Sequence[Tuple[int, int, int, Sequence[int]]], Optional[np.ndarray]], Sequence[np.ndarray]
 ]
-
 
 class TrafficStateEvaluator:
     """Build traffic forecasting / imputation cases and score prediction functions."""
@@ -67,30 +62,16 @@ class TrafficStateEvaluator:
         return len(self.windows)
 
     # ------------------------------------------------------------------
-    def evaluate_prediction(self, predict_fn: PredictFn, horizon: Optional[int] = None) -> Dict[str, float]:
-        """Score a forecasting function at the configured (or reduced) horizon."""
-        horizon = horizon or self.horizon
-        outputs = [
-            predict_fn(window.segment_id, int(window.history_slices[0]), self.history, horizon)
-            for window in self.windows
-        ]
-        return self._score_prediction(outputs, horizon)
-
-    def evaluate_prediction_batch(
-        self, predict_batch_fn: PredictBatchFn, horizon: Optional[int] = None
+    def evaluate_prediction(
+        self, predict_fn: PredictBatchFn, horizon: Optional[int] = None
     ) -> Dict[str, float]:
-        """Score a batched forecasting function (one model call for all windows).
-
-        Produces exactly the metrics :meth:`evaluate_prediction` produces for
-        the per-window form of the same method, since the batched model path
-        is equality-pinned against the serial one.
-        """
+        """Score a forecasting function at the configured (or reduced) horizon, all windows in one call."""
         horizon = horizon or self.horizon
         cases = [
             (window.segment_id, int(window.history_slices[0]), self.history, horizon)
             for window in self.windows
         ]
-        return self._score_prediction(predict_batch_fn(cases), horizon)
+        return self._score_prediction(predict_fn(cases), horizon)
 
     def _score_prediction(self, outputs: Sequence[np.ndarray], horizon: int) -> Dict[str, float]:
         if horizon > self.horizon:
@@ -149,37 +130,15 @@ class TrafficStateEvaluator:
 
     def evaluate_imputation(
         self,
-        impute_fn: ImputeFn,
+        impute_fn: ImputeBatchFn,
         mask_ratio: float = 0.25,
         sequence_length: int = 12,
         max_cases: int = 32,
     ) -> Dict[str, float]:
-        """Score an imputation function on freshly sampled cases."""
+        """Score an imputation function on freshly sampled cases, all in one call."""
         cases = self.imputation_cases(mask_ratio, sequence_length, max_cases)
         override = self.masked_traffic_values(cases)
-        outputs = [
-            impute_fn(segment, start, length, masked, override)
-            for segment, start, length, masked in cases
-        ]
-        return self._score_imputation(cases, outputs)
-
-    def evaluate_imputation_batch(
-        self,
-        impute_batch_fn: ImputeBatchFn,
-        mask_ratio: float = 0.25,
-        sequence_length: int = 12,
-        max_cases: int = 32,
-    ) -> Dict[str, float]:
-        """Score a batched imputation function (one model call for all cases).
-
-        Cases are drawn from the evaluator's RNG exactly as in
-        :meth:`evaluate_imputation`, so two evaluators constructed with the
-        same seed produce identical cases (and — with an equality-pinned
-        batched model path — identical metrics) across the two forms.
-        """
-        cases = self.imputation_cases(mask_ratio, sequence_length, max_cases)
-        override = self.masked_traffic_values(cases)
-        return self._score_imputation(cases, impute_batch_fn(cases, override))
+        return self._score_imputation(cases, impute_fn(cases, override))
 
     def _score_imputation(
         self,

@@ -4,17 +4,18 @@ The load-bearing claims of the batch entry points
 (``recover_trajectories_batch`` / ``predict_traffic_states_batch`` /
 ``impute_traffic_states_batch``):
 
-* batched answers equal the serial per-case answers **bit-for-bit**, with
-  the fused kernels (the array pass) and with the composed ones (the
+* batched answers equal each case's batch-of-one answer **bit-for-bit**,
+  with the fused kernels (the array pass) and with the composed ones (the
   module path);
 * a masked position before the first (or after the last) kept sample no
   longer crashes constrained recovery — it falls back to the open-sided
   candidate set anchored on the nearest kept neighbour;
 * empty inputs return correctly-shaped empty results instead of raising
   from a bare ``np.stack``;
-* the evaluators' ``evaluate*_batch`` forms reproduce the serial metrics
-  exactly, and the serving scheduler folds every request kind into one
-  batch call whose results match serial execution.
+* an evaluator scoring one call for all cases reproduces the metrics of
+  the same cases answered one batch-of-one call each, and the serving
+  scheduler folds every request kind into one batch call whose results
+  match serial execution.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class TestBatchedEqualsSerial:
         kept_lists = _kept_lists(trajectories)
         with contextlib.nullcontext() if fused else reference_kernels():
             serial = [
-                trained_model.recover_trajectory(t, k, constrain_to_network=constrain)
+                trained_model.recover_trajectories_batch([t], [k], constrain_to_network=constrain)[0]
                 for t, k in zip(trajectories, kept_lists)
             ]
             batched = trained_model.recover_trajectories_batch(
@@ -81,7 +82,7 @@ class TestBatchedEqualsSerial:
             for i in range(5)
         ]
         with contextlib.nullcontext() if fused else reference_kernels():
-            serial = [trained_model.predict_traffic_state(*case) for case in cases]
+            serial = [trained_model.predict_traffic_states_batch([case])[0] for case in cases]
             batched = trained_model.predict_traffic_states_batch(cases)
         assert len(batched) == len(serial)
         for serial_row, batched_row in zip(serial, batched):
@@ -95,7 +96,7 @@ class TestBatchedEqualsSerial:
             for i in range(4)
         ]
         with contextlib.nullcontext() if fused else reference_kernels():
-            serial = [trained_model.impute_traffic_state(*case) for case in cases]
+            serial = [trained_model.impute_traffic_states_batch([case])[0] for case in cases]
             batched = trained_model.impute_traffic_states_batch(cases)
         assert len(batched) == len(serial)
         for serial_row, batched_row in zip(serial, batched):
@@ -110,26 +111,26 @@ class TestRecoveryBoundaries:
         trajectory = trajectories[0]
         # keep only interior samples: both endpoints are masked
         kept = np.arange(1, len(trajectory) - 1)
-        recovered = trained_model.recover_trajectory(trajectory, kept, constrain_to_network=True)
+        [recovered] = trained_model.recover_trajectories_batch([trajectory], [kept], constrain_to_network=True)
         assert recovered.shape == (2,)
         assert np.all(recovered >= 0)
 
     def test_single_kept_index_decodes_both_open_sides(self, trained_model, trajectories):
         trajectory = trajectories[0]
         middle = len(trajectory) // 2
-        recovered = trained_model.recover_trajectory(trajectory, [middle], constrain_to_network=True)
+        [recovered] = trained_model.recover_trajectories_batch([trajectory], [[middle]], constrain_to_network=True)
         assert recovered.shape == (len(trajectory) - 1,)
 
     def test_last_index_only(self, trained_model, trajectories):
         trajectory = trajectories[0]
-        recovered = trained_model.recover_trajectory(
-            trajectory, [len(trajectory) - 1], constrain_to_network=True
+        [recovered] = trained_model.recover_trajectories_batch(
+            [trajectory], [[len(trajectory) - 1]], constrain_to_network=True
         )
         assert recovered.shape == (len(trajectory) - 1,)
 
     def test_no_kept_indices_still_raises(self, trained_model, trajectories):
         with pytest.raises(ValueError):
-            trained_model.recover_trajectory(trajectories[0], [])
+            trained_model.recover_trajectories_batch([trajectories[0]], [[]])
 
 
 class TestEmptyInputs:
@@ -152,29 +153,34 @@ class TestEmptyInputs:
             trained_model.recover_trajectories_batch(trajectories, [[0]])
 
 
-class TestEvaluatorBatchForms:
+class TestEvaluatorOneCall:
+    """One model call for all cases scores exactly what one call per case scores."""
+
     def test_recovery_evaluator_metrics_identical(self, trained_model, tiny_dataset):
         evaluator = TrajectoryRecoveryEvaluator(tiny_dataset, mask_ratio=0.6, max_samples=6, seed=0)
-        serial = evaluator.evaluate(trained_model.recover_trajectory)
-        batched = evaluator.evaluate_batch(trained_model.recover_trajectories_batch)
+        recover = trained_model.recover_trajectories_batch
+        serial = evaluator.evaluate(lambda ts, ks: [recover([t], [k])[0] for t, k in zip(ts, ks)])
+        batched = evaluator.evaluate(recover)
         assert serial == batched
 
     def test_prediction_evaluator_metrics_identical(self, trained_model, tiny_dataset):
         evaluator = TrafficStateEvaluator(tiny_dataset, history=4, horizon=3, max_windows=8, seed=0)
-        serial = evaluator.evaluate_prediction(trained_model.predict_traffic_state, horizon=2)
-        batched = evaluator.evaluate_prediction_batch(trained_model.predict_traffic_states_batch, horizon=2)
+        predict = trained_model.predict_traffic_states_batch
+        serial = evaluator.evaluate_prediction(lambda cases: [predict([case])[0] for case in cases], horizon=2)
+        batched = evaluator.evaluate_prediction(predict, horizon=2)
         assert serial == batched
 
     def test_imputation_evaluator_metrics_identical(self, trained_model, tiny_dataset):
         # imputation_cases() consumes the evaluator RNG, so each form gets a
         # fresh evaluator seeded identically — the cases (and therefore the
         # metrics) must then coincide exactly.
+        impute = trained_model.impute_traffic_states_batch
         serial = TrafficStateEvaluator(tiny_dataset, history=4, horizon=3, max_windows=8, seed=5).evaluate_imputation(
-            trained_model.impute_traffic_state, max_cases=6
+            lambda cases, override: [impute([case], override)[0] for case in cases], max_cases=6
         )
         batched = TrafficStateEvaluator(
             tiny_dataset, history=4, horizon=3, max_windows=8, seed=5
-        ).evaluate_imputation_batch(trained_model.impute_traffic_states_batch, max_cases=6)
+        ).evaluate_imputation(impute, max_cases=6)
         assert serial == batched
 
 
@@ -254,5 +260,5 @@ class TestSchedulerFoldsAllKinds:
         for index, handle in enumerate(handles):
             if index == 1:
                 continue
-            expected = trained_model.recover_trajectory(trajectories[index], kept_lists[index])
+            expected = trained_model.recover_trajectories_batch([trajectories[index]], [kept_lists[index]])[0]
             np.testing.assert_array_equal(np.asarray(handle.result(timeout=1.0)), expected)

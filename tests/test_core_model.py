@@ -130,7 +130,7 @@ class TestBIGCityForward:
         model = BIGCity.from_dataset(tiny_dataset, config=config)
         sequence = model.sequence_from_trajectory(tiny_dataset.trajectories[0])
         prompt = model.prompt_builder.next_hop(sequence)
-        st_tokens = model.tokenizer.encode_sequence(prompt.sequence)
+        st_tokens = model.tokenizer.encode_batch([prompt.sequence])[0]
         _, _, [(task_positions, span)] = model._assemble_prompt_batch([prompt], [st_tokens], None)
         assert span[0] == 0  # no instruction prefix
         assert task_positions == [len(prompt.sequence)]
@@ -174,16 +174,16 @@ class TestBIGCityInference:
     def test_recover_trajectory_output_length(self, trained_model, tiny_dataset):
         trajectory = max(tiny_dataset.test_trajectories, key=len)
         kept = [0, len(trajectory) // 2, len(trajectory) - 1]
-        recovered = trained_model.recover_trajectory(trajectory, kept)
+        recovered = trained_model.recover_trajectories_batch([trajectory], [kept])[0]
         assert recovered.shape == (len(trajectory) - len(kept),)
         assert np.all((recovered >= 0) & (recovered < tiny_dataset.network.num_segments))
 
     def test_predict_traffic_state_shape(self, trained_model):
-        prediction = trained_model.predict_traffic_state(segment_id=1, start_slice=4, history=4, horizon=3)
+        prediction = trained_model.predict_traffic_states_batch([(1, 4, 4, 3)])[0]
         assert prediction.shape == (3, 3)
 
     def test_impute_traffic_state_shape(self, trained_model):
-        imputed = trained_model.impute_traffic_state(2, 4, 8, [1, 5], traffic_override=None)
+        imputed = trained_model.impute_traffic_states_batch([(2, 4, 8, [1, 5])], traffic_override=None)[0]
         assert imputed.shape == (2, 3)
 
     def test_parameter_summary_consistency(self, trained_model):
@@ -234,9 +234,8 @@ def _stacked_prompt_batch(model, prompts, st_token_list, static_cache):
             elif anchor is not None:
                 key = (anchor.segment_id, anchor.timestamp)
                 if key not in partials:
-                    partials[key] = model.tokenizer.encode_partial(
-                        segment_id=anchor.segment_id, timestamp=anchor.timestamp, static_cache=static_cache
-                    )
+                    tokens, _ = model.tokenizer.encode_partials([key], static_cache=static_cache)
+                    partials[key] = tokens.reshape(model.config.d_model)
                 token = token + partials[key]
             rows.append(token)
         rows_list.append(rows)

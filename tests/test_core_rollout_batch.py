@@ -2,8 +2,8 @@
 
 ``BIGCity.rollout_next_hops_batch`` decodes N trajectories through one
 right-padded batch with per-row position ids; these tests pin the contract
-that it chooses exactly the segments the per-trajectory
-``rollout_next_hops`` would, on both the cached and the re-encoding path,
+that it chooses exactly the segments each trajectory gets rolled out alone
+(a batch of one), on both the cached and the re-encoding path,
 and that the next-hop evaluator's rollout metric runs on top of it.
 """
 
@@ -30,7 +30,7 @@ class TestBatchedRolloutEquivalence:
     def test_matches_per_trajectory_rollout(self, untrained_model, mixed_length_trajectories, use_cache):
         untrained_model.eval()
         serial = [
-            untrained_model.rollout_next_hops(t, steps=3, use_cache=use_cache)
+            untrained_model.rollout_next_hops_batch([t], steps=3, use_cache=use_cache)[0]
             for t in mixed_length_trajectories
         ]
         batched = untrained_model.rollout_next_hops_batch(
@@ -50,7 +50,7 @@ class TestBatchedRolloutEquivalence:
     def test_unconstrained_matches_too(self, untrained_model, mixed_length_trajectories):
         untrained_model.eval()
         serial = [
-            untrained_model.rollout_next_hops(t, steps=2, constrain_to_network=False)
+            untrained_model.rollout_next_hops_batch([t], steps=2, constrain_to_network=False)[0]
             for t in mixed_length_trajectories
         ]
         batched = untrained_model.rollout_next_hops_batch(

@@ -8,6 +8,7 @@ import pytest
 from repro.core.config import BIGCityConfig
 from repro.core.st_unit import traffic_series_to_units, trajectory_to_units
 from repro.core.tokenizer import SpatioTemporalTokenizer
+from repro.nn import functional as F
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +52,7 @@ class TestConstruction:
         tok = SpatioTemporalTokenizer(tiny_dataset.network, tiny_dataset.time_axis, config, tiny_dataset.traffic_states)
         assert tok.fusion is None
         sequence = trajectory_to_units(tiny_dataset.trajectories[0], tiny_dataset.traffic_states)
-        assert tok.encode_sequence(sequence).shape == (len(sequence), config.d_model)
+        assert tok.encode_batch([sequence])[0].shape == (len(sequence), config.d_model)
 
 
 class TestRepresentations:
@@ -71,38 +72,40 @@ class TestRepresentations:
         assert early.shape == late.shape
         assert not np.allclose(early, late)
 
-    def test_fused_cache_contains_requested_slices(self, tokenizer):
-        fused = tokenizer.fused_representations([3, 7, 7, 9])
-        assert set(fused) == {3, 7, 9}
-        for tensor in fused.values():
-            assert tensor.shape == (tokenizer.network.num_segments, tokenizer.fused_dim)
+    def test_spatial_table_serves_requested_slices(self, tokenizer):
+        slices, num_segments = [3, 7, 7, 9], tokenizer.network.num_segments
+        segments = np.tile(np.arange(num_segments), len(slices))
+        table, first, second = tokenizer._spatial_table(np.repeat(slices, num_segments), segments)
+        fused = F.gather_rows(table, first, second).data.reshape(len(slices), num_segments, -1)
+        assert fused.shape == (len(slices), num_segments, tokenizer.fused_dim)
+        assert np.array_equal(fused[1], fused[2])
 
 
 class TestEncoding:
     def test_trajectory_tokens_shape(self, tokenizer, tiny_dataset):
         sequence = trajectory_to_units(tiny_dataset.trajectories[0], tiny_dataset.traffic_states)
-        tokens = tokenizer.encode_sequence(sequence)
+        tokens = tokenizer.encode_batch([sequence])[0]
         assert tokens.shape == (len(sequence), tokenizer.config.d_model)
 
     def test_traffic_tokens_shape(self, tokenizer, tiny_dataset):
         sequence = traffic_series_to_units(tiny_dataset.traffic_states, 1, 2, 8)
-        assert tokenizer.encode_sequence(sequence).shape == (8, tokenizer.config.d_model)
+        assert tokenizer.encode_batch([sequence])[0].shape == (8, tokenizer.config.d_model)
 
     def test_time_feature_mask_changes_tokens(self, tokenizer, tiny_dataset):
         sequence = trajectory_to_units(tiny_dataset.trajectories[0], tiny_dataset.traffic_states)
-        plain = tokenizer.encode_sequence(sequence).data
+        plain = tokenizer.encode_batch([sequence])[0].data
         mask = np.ones(len(sequence), dtype=bool)
         mask[0] = False
-        hidden = tokenizer.encode_sequence(sequence, time_feature_mask=mask).data
+        hidden = tokenizer.encode_batch([sequence], [mask])[0].data
         assert np.allclose(plain[0], hidden[0])
         assert not np.allclose(plain[1:], hidden[1:])
 
     def test_traffic_override_changes_tokens(self, tokenizer, tiny_dataset):
         sequence = traffic_series_to_units(tiny_dataset.traffic_states, 1, 2, 6)
-        plain = tokenizer.encode_sequence(sequence).data
+        plain = tokenizer.encode_batch([sequence])[0].data
         override = tiny_dataset.traffic_states.values.copy()
         override[:, :, :] = override.mean()
-        changed = tokenizer.encode_sequence(sequence, traffic_override=override).data
+        changed = tokenizer.encode_batch([sequence], traffic_override=override)[0].data
         assert not np.allclose(plain, changed)
 
     def test_encode_batch_matches_single(self, tokenizer, tiny_dataset):
@@ -111,17 +114,17 @@ class TestEncoding:
         ]
         batched = tokenizer.encode_batch(sequences)
         for sequence, tokens in zip(sequences, batched):
-            alone = tokenizer.encode_sequence(sequence)
+            alone = tokenizer.encode_batch([sequence])[0]
             assert np.allclose(tokens.data, alone.data, atol=1e-9)
 
     def test_gradients_reach_tokenizer_parameters(self, tokenizer, tiny_dataset):
         tokenizer.zero_grad()
         sequence = trajectory_to_units(tiny_dataset.trajectories[1], tiny_dataset.traffic_states)
-        tokenizer.encode_sequence(sequence).sum().backward()
+        tokenizer.encode_batch([sequence])[0].sum().backward()
         grads = [p.grad for p in tokenizer.parameters() if p.grad is not None]
         assert grads, "no gradient reached the tokenizer"
 
     def test_tokens_differ_across_segments(self, tokenizer, tiny_dataset):
         a = traffic_series_to_units(tiny_dataset.traffic_states, 0, 0, 4)
         b = traffic_series_to_units(tiny_dataset.traffic_states, 5, 0, 4)
-        assert not np.allclose(tokenizer.encode_sequence(a).data, tokenizer.encode_sequence(b).data)
+        assert not np.allclose(tokenizer.encode_batch([a])[0].data, tokenizer.encode_batch([b])[0].data)

@@ -175,9 +175,9 @@ class TestBatchedEqualsPerSlice:
             static = tokenizer.static_representations()
             tokens, rows = tokenizer.encode_partials(units, static_cache=static)
             for unit, row in zip(units, rows):
-                single = tokenizer.encode_partial(*unit, static_cache=static)
-                assert single.shape == (tokenizer.d_model,)
-                np.testing.assert_array_equal(tokens.data[row], single.data)
+                single, _ = tokenizer.encode_partials([unit], static_cache=static)
+                assert single.shape == (1, tokenizer.d_model)
+                np.testing.assert_array_equal(tokens.data[row], single.data[0])
         assert tokens.shape == (len(set(units)), tokenizer.d_model)
         assert [units.index(unit) for unit in units] == [list(rows).index(row) for row in rows]
 

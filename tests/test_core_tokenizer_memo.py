@@ -1,8 +1,8 @@
 """The tokenizer's memo of static and per-slice fused representations.
 
 While no gradient can reach the tokenizer, ``SpatioTemporalTokenizer``
-serves ``static_representations`` / ``fused_representations`` from a memo
-and computes only the slices it has not seen.  The claims pinned here:
+serves the static and the fused spatial representations from a memo and
+computes only the slices it has not seen.  The claims pinned here:
 
 * cached == uncached bit-for-bit for the batched traffic prediction,
   traffic imputation and KV-cached rollout entry points, on seeded slice
@@ -29,7 +29,8 @@ from repro.core.model import BIGCity
 from repro.data.traffic_state import TrafficStateSeries
 from repro.data.trajectory import Trajectory
 from repro.nn.optim import Adam
-from repro.nn.tensor import no_grad
+from repro.nn import functional as F
+from repro.nn.tensor import Tensor, no_grad
 from repro.serving import results_equal
 
 TASKS = ["prediction", "imputation", "rollout"]
@@ -38,6 +39,14 @@ TASKS = ["prediction", "imputation", "rollout"]
 @pytest.fixture(scope="module")
 def weights(trained_model):
     return trained_model.state_dict()
+
+
+def _fused_rows(tokenizer, slices) -> Tensor:
+    """Fused ``s_{i, t}`` of every segment at each slice, ``(len(slices), num_segments, fused_dim)``."""
+    num_segments = tokenizer.network.num_segments
+    segments = np.tile(np.arange(num_segments), len(slices))
+    table, first, second = tokenizer._spatial_table(np.repeat(slices, num_segments), segments)
+    return F.gather_rows(table, first, second).reshape(len(slices), num_segments, tokenizer.fused_dim)
 
 
 def _fresh(dataset, config, state) -> BIGCity:
@@ -154,16 +163,15 @@ class TestCachedEqualsUncached:
         slices = sorted({s for _, start, length, _ in _imputation_cases(tiny_dataset, window, seed=5)
                          for s in range(start, start + length)})
         with no_grad():
-            tokenizer.fused_representations(slices[::2])
-            cached = tokenizer.fused_representations(slices)
+            _fused_rows(tokenizer, slices[::2])
+            cached = _fused_rows(tokenizer, slices)
             static = tokenizer.static_representations()
-        uncached = tokenizer.fused_representations(slices)
-        assert all(t.requires_grad for t in uncached.values())
+        uncached = _fused_rows(tokenizer, slices)
+        assert uncached.requires_grad
         assert np.array_equal(static.data, tokenizer.static_representations().data)
-        assert list(cached) == list(uncached) == slices
-        for index in slices:
-            assert cached[index].data.dtype == uncached[index].data.dtype
-            assert np.array_equal(cached[index].data, uncached[index].data)
+        assert cached.shape == uncached.shape == (len(slices), tokenizer.network.num_segments, tokenizer.fused_dim)
+        assert cached.data.dtype == uncached.data.dtype
+        assert np.array_equal(cached.data, uncached.data)
 
 
 class TestSharedModel:
@@ -241,14 +249,10 @@ class TestStaleMemo:
             if freeze_first:
                 # A frozen tokenizer in grad mode (stage 2) fills the memo.
                 tokenizer.freeze()
-                tokenizer.fused_representations(slices)
+                _fused_rows(tokenizer, slices)
                 tokenizer.unfreeze()
-            fused = tokenizer.fused_representations(slices)
-            loss = None
-            for index in slices:
-                term = (fused[index] * fused[index]).sum()
-                loss = term if loss is None else loss + term
-            loss.backward()
+            fused = _fused_rows(tokenizer, slices)
+            (fused * fused).sum().backward()
             return [param.grad for param in tokenizer.parameters()]
 
         warm = tokenizer_grads(_fresh(tiny_dataset, tiny_config, weights), freeze_first=True)

@@ -10,14 +10,20 @@ perfbench helpers), or a declared dependency.  Every ``repro`` module and
 name those files import must also exist, so a deleted public name that an
 example still imports fails here rather than when the example runs.  The
 same holds for every dotted ``repro.…`` name the docs and the verify recipe
-mention, so a deleted name does not live on in the prose.
+mention, and for every backticked ``Class.attr`` there whose ``Class`` is a
+``repro`` class (or ``F``, ``repro.nn.functional``), so a deleted name does
+not live on in the prose.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
+import os
+import pkgutil
 import re
+import subprocess
 import sys
 import tomllib
 from pathlib import Path
@@ -26,6 +32,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SCANNED = ("src", "tests", "benchmarks", "perfbench", "scripts", "examples")
 DOCS = (*sorted((ROOT / "docs").glob("*.md")), ROOT / ".claude" / "skills" / "verify" / "SKILL.md")
 DOTTED_NAME = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+BACKTICKED = re.compile(r"`([^`\n]+)`")
+CLASS_MEMBER = re.compile(r"(?<![\w.])([A-Z]\w*)\.([A-Za-z_]\w*)")
 
 
 def _declared_modules() -> set:
@@ -134,3 +142,53 @@ def test_every_repro_name_in_the_docs_resolves():
         f"{path.relative_to(ROOT)}:{line}: {name}" for path, line, name in mentioned if not _dotted_name_resolves(name)
     ]
     assert not unresolved, "docs name missing repro modules or attributes:\n" + "\n".join(unresolved)
+
+
+def _repro_classes() -> dict:
+    """Every class a ``repro`` module defines, by name (several classes may share one)."""
+    import repro
+
+    classes: dict = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith("__main__"):
+            continue
+        for name, value in vars(importlib.import_module(info.name)).items():
+            if inspect.isclass(value) and value.__module__.startswith("repro"):
+                classes.setdefault(name, set()).add(value)
+    return classes
+
+
+def test_every_class_member_in_the_docs_resolves():
+    from repro.nn import functional
+
+    classes = _repro_classes()
+    owners = {name: tuple(found) for name, found in classes.items()} | {"F": (functional,)}
+    mentioned = [
+        (path, line, owner, attribute)
+        for path in DOCS
+        if path.is_file()
+        for line, text in enumerate(path.read_text().splitlines(), start=1)
+        for span in BACKTICKED.findall(text)
+        for owner, attribute in CLASS_MEMBER.findall(span)
+        if owner in owners
+    ]
+    assert mentioned
+    unresolved = [
+        f"{path.relative_to(ROOT)}:{line}: {owner}.{attribute}"
+        for path, line, owner, attribute in mentioned
+        if not any(
+            hasattr(target, attribute) or attribute in getattr(target, "__dataclass_fields__", {})
+            for target in owners[owner]
+        )
+    ]
+    assert not unresolved, "docs name missing members of repro classes:\n" + "\n".join(unresolved)
+
+
+def test_repro_eval_does_not_import_perfbench():
+    """``python -m repro.eval.perfbench`` must run the module once, not also as ``repro.eval.perfbench``."""
+    code = "import sys, repro.eval; print('repro.eval.perfbench' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path}
+    )
+    assert result.stdout.strip() == "False"

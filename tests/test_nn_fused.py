@@ -415,7 +415,7 @@ class TestRolloutEquivalence:
     def test_rollout_cached_equals_recompute(self, untrained_model, tiny_dataset):
         trajectory = tiny_dataset.train_trajectories[0]
         untrained_model.eval()
-        cached = untrained_model.rollout_next_hops(trajectory, steps=4, use_cache=True)
-        recomputed = untrained_model.rollout_next_hops(trajectory, steps=4, use_cache=False)
+        cached = untrained_model.rollout_next_hops_batch([trajectory], steps=4, use_cache=True)[0]
+        recomputed = untrained_model.rollout_next_hops_batch([trajectory], steps=4, use_cache=False)[0]
         assert np.array_equal(cached, recomputed)
         assert cached.shape == (4,)

@@ -85,7 +85,7 @@ class TestDeadlineShedding:
                     handle.result(timeout=10.0)
         finally:
             service.stop()
-        expected = trained_model.rollout_next_hops(trajectories[2], steps=2)
+        expected = trained_model.rollout_next_hops_batch([trajectories[2]], steps=2)[0]
         np.testing.assert_array_equal(served, expected)
         summary = service.metrics.summary()
         assert summary["shed"] == 2.0
@@ -116,7 +116,7 @@ class TestPoisonBatchIsolation:
         for i, handle in enumerate(handles):
             if i == 1:
                 continue
-            serial = trained_model.rollout_next_hops(trajectories[i], steps=2)
+            serial = trained_model.rollout_next_hops_batch([trajectories[i]], steps=2)[0]
             np.testing.assert_array_equal(np.asarray(handle.result(timeout=1.0)), serial)
         assert "error:poison" in plan.fired
 
@@ -134,7 +134,7 @@ class TestPoisonBatchIsolation:
             with pytest.raises(RequestFailed):
                 handles[0].result(timeout=10.0)
             for handle, trajectory in zip(handles[1:], trajectories[1:]):
-                serial = trained_model.rollout_next_hops(trajectory, steps=2)
+                serial = trained_model.rollout_next_hops_batch([trajectory], steps=2)[0]
                 np.testing.assert_array_equal(np.asarray(handle.result(timeout=10.0)), serial)
         finally:
             service.stop()
@@ -191,7 +191,7 @@ class TestRetryPolicy:
         tick = run_tick(trained_model, [handle], retry_policy=policy, faults=plan)
         assert tick.retried == 2
         assert tick.failed == 0
-        serial = trained_model.rollout_next_hops(trajectories[0], steps=2)
+        serial = trained_model.rollout_next_hops_batch([trajectories[0]], steps=2)[0]
         np.testing.assert_array_equal(np.asarray(handle.result(timeout=1.0)), serial)
         assert plan.fired == ["transient:flaky", "transient:flaky"]
 
@@ -226,7 +226,7 @@ class TestWorkerSupervision:
                 assert isinstance(excinfo.value.__cause__, InjectedFault)
             # the supervisor respawned the worker, so the service still serves
             survivor = service.submit(NextHopRequest(trajectory=trajectories[3], steps=2))
-            serial = trained_model.rollout_next_hops(trajectories[3], steps=2)
+            serial = trained_model.rollout_next_hops_batch([trajectories[3]], steps=2)[0]
             np.testing.assert_array_equal(np.asarray(survivor.result(timeout=10.0)), serial)
         finally:
             service.stop()
@@ -246,7 +246,7 @@ class TestWorkerSupervision:
             with pytest.raises(RequestFailed):
                 doomed.result(timeout=10.0)
             survivor = service.submit(NextHopRequest(trajectory=trajectories[1], steps=2))
-            serial = trained_model.rollout_next_hops(trajectories[1], steps=2)
+            serial = trained_model.rollout_next_hops_batch([trajectories[1]], steps=2)[0]
             np.testing.assert_array_equal(np.asarray(survivor.result(timeout=10.0)), serial)
         finally:
             service.stop()
@@ -294,7 +294,7 @@ class TestReplicaHealth:
             # the pool reloaded a fresh replica from the archive: traffic flows
             # again and the answers are bit-identical to the original model
             healed = service.submit(NextHopRequest(trajectory=trajectories[2], steps=2))
-            serial = trained_model.rollout_next_hops(trajectories[2], steps=2)
+            serial = trained_model.rollout_next_hops_batch([trajectories[2]], steps=2)[0]
             np.testing.assert_array_equal(np.asarray(healed.result(timeout=10.0)), serial)
         finally:
             service.stop()

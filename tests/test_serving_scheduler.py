@@ -78,7 +78,7 @@ class TestServingEquality:
         assert tick.batched_requests == 4
         assert tick.model_calls == 1  # ONE rollout_next_hops_batch call
         for handle, trajectory in zip(handles, trajectories):
-            expected = trained_model.rollout_next_hops(trajectory, steps=2)
+            expected = trained_model.rollout_next_hops_batch([trajectory], steps=2)[0]
             np.testing.assert_array_equal(np.asarray(handle.result(timeout=1.0)), expected)
 
     def test_mixed_tick_answers_every_handle(self, trained_model, trace):
@@ -102,7 +102,7 @@ class TestServingEquality:
         assert all(handle.done() for handle in handles)
         np.testing.assert_array_equal(
             np.asarray(handles[0].result(timeout=1.0)),
-            trained_model.rollout_next_hops(good, steps=2),
+            trained_model.rollout_next_hops_batch([good], steps=2)[0],
         )
         with pytest.raises(Exception):
             handles[1].result(timeout=1.0)

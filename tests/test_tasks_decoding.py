@@ -174,6 +174,6 @@ class TestModelIntegration:
     def test_bigcity_constrained_recovery_stays_near_gap(self, trained_model, tiny_dataset):
         trajectory = next(t for t in tiny_dataset.test_trajectories if len(t) >= 6)
         kept = [0, len(trajectory) - 1]
-        recovered = trained_model.recover_trajectory(trajectory, kept)
+        recovered = trained_model.recover_trajectories_batch([trajectory], [kept])[0]
         assert recovered.shape == (len(trajectory) - 2,)
         assert all(0 <= int(s) < tiny_dataset.num_segments for s in recovered)

@@ -44,19 +44,6 @@ class TestNextHopEvaluator:
         with pytest.raises(ValueError):
             evaluator.evaluate(lambda ts: [[0]])
 
-    def test_prefix_mode_passes_shorter_inputs(self, tiny_dataset):
-        evaluator = NextHopEvaluator(tiny_dataset, max_samples=5, seed=0)
-        seen_lengths = []
-
-        def recorder(trajectories):
-            seen_lengths.extend(len(t) for t in trajectories)
-            return [[0] for _ in trajectories]
-
-        evaluator.evaluate(recorder, use_full_trajectory=False)
-        assert all(
-            length == len(full) - 1 for length, full in zip(seen_lengths, evaluator.trajectories)
-        )
-
 
 class TestTravelTimeEvaluator:
     def test_oracle_zero_error(self, tiny_dataset):
@@ -165,9 +152,11 @@ class TestRecoveryEvaluator:
     def test_oracle_recovery_is_perfect(self, tiny_dataset):
         evaluator = TrajectoryRecoveryEvaluator(tiny_dataset, mask_ratio=0.85, max_samples=10, seed=0)
 
-        def oracle(trajectory, kept):
-            missing = np.setdiff1d(np.arange(len(trajectory)), kept)
-            return np.array([trajectory.segments[i] for i in missing])
+        def oracle(trajectories, kept_lists):
+            return [
+                np.array([t.segments[i] for i in np.setdiff1d(np.arange(len(t)), kept)])
+                for t, kept in zip(trajectories, kept_lists)
+            ]
 
         result = evaluator.evaluate(oracle)
         assert result["accuracy"] == 1.0
@@ -176,7 +165,7 @@ class TestRecoveryEvaluator:
     def test_wrong_output_length_rejected(self, tiny_dataset):
         evaluator = TrajectoryRecoveryEvaluator(tiny_dataset, mask_ratio=0.85, max_samples=5, seed=0)
         with pytest.raises(ValueError):
-            evaluator.evaluate(lambda trajectory, kept: np.array([0]))
+            evaluator.evaluate(lambda trajectories, kept_lists: [np.array([0]) for _ in trajectories])
 
     def test_higher_mask_ratio_masks_more(self, tiny_dataset):
         low = TrajectoryRecoveryEvaluator(tiny_dataset, mask_ratio=0.5, max_samples=10, seed=0)
@@ -199,8 +188,8 @@ class TestTrafficEvaluator:
         evaluator = TrafficStateEvaluator(tiny_dataset, history=4, horizon=3, max_windows=10, seed=0)
         values = tiny_dataset.traffic_states.values
 
-        def oracle(segment, start, history, horizon):
-            return values[segment, start + history : start + history + horizon]
+        def oracle(cases):
+            return [values[segment, start + history : start + history + horizon] for segment, start, history, horizon in cases]
 
         result = evaluator.evaluate_prediction(oracle)
         assert result["mae"] == pytest.approx(0.0)
@@ -209,9 +198,8 @@ class TestTrafficEvaluator:
         evaluator = TrafficStateEvaluator(tiny_dataset, history=4, horizon=3, max_windows=10, seed=0)
         values = tiny_dataset.traffic_states.values
 
-        def persistence(segment, start, history, horizon):
-            last = values[segment, start + history - 1]
-            return np.tile(last, (horizon, 1))
+        def persistence(cases):
+            return [np.tile(values[segment, start + history - 1], (horizon, 1)) for segment, start, history, horizon in cases]
 
         result = evaluator.evaluate_prediction(persistence)
         assert np.isfinite(result["mae"]) and result["mae"] >= 0
@@ -226,8 +214,8 @@ class TestTrafficEvaluator:
         evaluator = TrafficStateEvaluator(tiny_dataset, history=4, horizon=2, max_windows=10, seed=0)
         values = tiny_dataset.traffic_states.values
 
-        def oracle(segment, start, length, masked, override):
-            return values[segment, start + np.asarray(masked)]
+        def oracle(cases, override):
+            return [values[segment, start + np.asarray(masked)] for segment, start, _, masked in cases]
 
         result = evaluator.evaluate_imputation(oracle, max_cases=5)
         assert result["mae"] == pytest.approx(0.0)
@@ -243,4 +231,4 @@ class TestTrafficEvaluator:
     def test_horizon_larger_than_prepared_rejected(self, tiny_dataset):
         evaluator = TrafficStateEvaluator(tiny_dataset, history=4, horizon=2, max_windows=5, seed=0)
         with pytest.raises(ValueError):
-            evaluator.evaluate_prediction(lambda *a: np.zeros((2, 3)), horizon=5)
+            evaluator.evaluate_prediction(lambda cases: [np.zeros((2, 3)) for _ in cases], horizon=5)
