@@ -49,11 +49,11 @@ class TrafficStateEvaluator:
         self.history = history
         self.horizon = horizon
         self.train_fraction = train_fraction
-        self._rng = np.random.default_rng(seed)
+        self.seed = seed
         sampler = TrafficWindowSampler(self.traffic, history=history, horizon=horizon, seed=seed)
         windows = sampler.all_windows(split="test", train_fraction=train_fraction)
         if len(windows) > max_windows:
-            index = self._rng.choice(len(windows), size=max_windows, replace=False)
+            index = np.random.default_rng(seed).choice(len(windows), size=max_windows, replace=False)
             windows = [windows[i] for i in index]
         self.windows = windows
         self.speed_index = TRAFFIC_CHANNELS.index("speed")
@@ -103,14 +103,20 @@ class TrafficStateEvaluator:
         sequence_length: int = 12,
         max_cases: int = 32,
     ) -> List[Tuple[int, int, int, np.ndarray]]:
-        """(segment, start_slice, length, masked_positions) imputation cases."""
+        """(segment, start_slice, length, masked_positions) imputation cases.
+
+        Each call draws from a fresh generator seeded with the evaluator's
+        seed, so equal arguments give equal cases: every method scored by
+        one evaluator is scored on the same cases.
+        """
+        rng = np.random.default_rng(self.seed)
         cases = []
         max_start = max(self.traffic.num_slices - sequence_length, 1)
         for _ in range(max_cases):
-            segment = int(self._rng.integers(0, self.traffic.num_segments))
-            start = int(self._rng.integers(0, max_start))
+            segment = int(rng.integers(0, self.traffic.num_segments))
+            start = int(rng.integers(0, max_start))
             num_masked = max(1, int(round(mask_ratio * sequence_length)))
-            masked = np.sort(self._rng.choice(sequence_length, size=num_masked, replace=False))
+            masked = np.sort(rng.choice(sequence_length, size=num_masked, replace=False))
             cases.append((segment, start, sequence_length, masked))
         return cases
 
@@ -135,7 +141,7 @@ class TrafficStateEvaluator:
         sequence_length: int = 12,
         max_cases: int = 32,
     ) -> Dict[str, float]:
-        """Score an imputation function on freshly sampled cases, all in one call."""
+        """Score an imputation function on the evaluator's cases, all in one call."""
         cases = self.imputation_cases(mask_ratio, sequence_length, max_cases)
         override = self.masked_traffic_values(cases)
         return self._score_imputation(cases, impute_fn(cases, override))

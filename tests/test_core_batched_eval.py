@@ -171,16 +171,12 @@ class TestEvaluatorOneCall:
         assert serial == batched
 
     def test_imputation_evaluator_metrics_identical(self, trained_model, tiny_dataset):
-        # imputation_cases() consumes the evaluator RNG, so each form gets a
-        # fresh evaluator seeded identically — the cases (and therefore the
-        # metrics) must then coincide exactly.
+        evaluator = TrafficStateEvaluator(tiny_dataset, history=4, horizon=3, max_windows=8, seed=5)
         impute = trained_model.impute_traffic_states_batch
-        serial = TrafficStateEvaluator(tiny_dataset, history=4, horizon=3, max_windows=8, seed=5).evaluate_imputation(
+        serial = evaluator.evaluate_imputation(
             lambda cases, override: [impute([case], override)[0] for case in cases], max_cases=6
         )
-        batched = TrafficStateEvaluator(
-            tiny_dataset, history=4, horizon=3, max_windows=8, seed=5
-        ).evaluate_imputation(impute, max_cases=6)
+        batched = evaluator.evaluate_imputation(impute, max_cases=6)
         assert serial == batched
 
 

@@ -220,6 +220,23 @@ class TestTrafficEvaluator:
         result = evaluator.evaluate_imputation(oracle, max_cases=5)
         assert result["mae"] == pytest.approx(0.0)
 
+    def test_every_imputation_method_sees_the_same_cases(self, tiny_dataset):
+        evaluator = TrafficStateEvaluator(tiny_dataset, history=4, horizon=2, max_windows=10, seed=0)
+        seen = []
+
+        def recorder(cases, override):
+            seen.append((cases, override))
+            return [np.zeros((len(masked), 3)) for _, _, _, masked in cases]
+
+        evaluator.evaluate_imputation(recorder, max_cases=6)
+        evaluator.evaluate_imputation(lambda cases, override: recorder(cases, override), max_cases=6)
+        (first, first_override), (second, second_override) = seen
+        assert len(first) == len(second) == 6
+        for a, b in zip(first, second):
+            assert a[:3] == b[:3]
+            np.testing.assert_array_equal(a[3], b[3])
+        np.testing.assert_array_equal(first_override, second_override)
+
     def test_masked_override_hides_values(self, tiny_dataset):
         evaluator = TrafficStateEvaluator(tiny_dataset, history=4, horizon=2, max_windows=10, seed=0)
         cases = evaluator.imputation_cases(mask_ratio=0.25, sequence_length=8, max_cases=4)
