@@ -24,6 +24,7 @@ from repro.tasks import metrics
 #: case through one padded model batch.
 RecoverBatchFn = Callable[[Sequence[Trajectory], Sequence[np.ndarray]], Sequence[np.ndarray]]
 
+
 class TrajectoryRecoveryEvaluator:
     """Build masked recovery cases at a given mask ratio and score methods."""
 

@@ -30,6 +30,7 @@ ImputeBatchFn = Callable[
     [Sequence[Tuple[int, int, int, Sequence[int]]], Optional[np.ndarray]], Sequence[np.ndarray]
 ]
 
+
 class TrafficStateEvaluator:
     """Build traffic forecasting / imputation cases and score prediction functions."""
 

@@ -96,9 +96,10 @@ def test_traffic_prediction_batch_equals_alone(trained_model, tiny_dataset, seed
     strict=True,
     reason=(
         "known defect: the attention softmax sums each score row over the padded key axis, and "
-        "numpy's eight-way unrolled pairwise sum associates keys past position 16 differently once "
-        "padding moves the row length into a later block of eight, so an imputation prompt longer "
-        "than 16 positions batched with a longer one differs from its batch-of-one answer in the last bit"
+        "numpy's eight-way unrolled pairwise sum adds the keys past a row's last multiple of eight "
+        "in a different order once padding carries the row across the next multiple of eight, so "
+        "an imputation prompt batched with a longer one can differ from its batch-of-one answer "
+        "in the last bit"
     ),
 )
 @pytest.mark.parametrize("override", [False, True])
